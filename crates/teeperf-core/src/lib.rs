@@ -43,7 +43,8 @@
 //!   drains the log to a persistent [`file::LogFile`] when measurement ends.
 //! * [`select`] — **selective code profiling** filters (§II-C).
 //! * [`shm_file`] — the **cross-process transport**: the same log layout
-//!   and publication discipline materialized in a file under `/dev/shm`,
+//!   materialized in a file under `/dev/shm`, published by tail by its
+//!   single writer and drained in chunked reads,
 //!   so genuinely separate OS processes feed one consumer without
 //!   `unsafe` ([`shm_file::FileShmWriter`] / [`shm_file::FileShmSource`]).
 //! * [`api`] — a native-Rust profiling API used by the workload substrates

@@ -10,22 +10,45 @@
 //! registration directory, and a [`FileShmSource`] in the daemon process
 //! polls it through the standard [`EventSource`] contract.
 //!
-//! The publication discipline is the live protocol's, translated to
-//! positioned writes:
+//! # Publication by tail
 //!
-//! 1. **reserve** — bump the header tail word *first* (the on-disk
-//!    equivalent of the fetch-add; persisted before any slot byte so a
-//!    writer crash leaves an [`EntryValidity::Unpublished`] hole, never a
-//!    phantom record);
-//! 2. **write** — store the addr and tid words of the slot;
-//! 3. **publish** — store word 0 (kind + counter) last.
+//! Each positioned write is a system call, so the writer makes as few as
+//! the discipline allows: **two per event**. There is exactly one writer
+//! per file, so the live protocol's reserve → write → publish collapses to
+//! its single-writer form, with the tail word doing the publishing:
 //!
-//! A reader therefore classifies slots with the same
-//! [`EntryValidity`] rules as the live drain, and the salvage
-//! accounting ([`SalvageReport`]) carries over unchanged: torn entries are
-//! dropped and counted, holes are closed after a stall deadline, truncated
-//! files are clamped and accounted, corrupt headers kill the source
-//! instead of the daemon.
+//! 1. **write** — store the whole 24-byte slot at the writer's private
+//!    tail index in one positioned write (the reservation is the writer's
+//!    own counter; nobody else appends to the file);
+//! 2. **publish** — store the bumped tail word in the header.
+//!
+//! A reader only ever reads slots below the tail it observed, and the slot
+//! write completes before the tail write starts, so a reader can never see
+//! a half-written slot. Overflow still bumps the tail and writes no slot,
+//! so dropped events stay visible as `tail - capacity`.
+//!
+//! A writer that crashes mid-event leaves its slot *beyond* the tail:
+//! invisible to the reader, neither a phantom record nor a hole, and never
+//! counted. Holes ([`EntryValidity::Unpublished`] slots below the tail)
+//! and torn slots can therefore only come from a writer that breaks this
+//! order — a hostile one, or one using the old reserve-first order that
+//! bumped the tail before the slot. The reader keeps the live drain's
+//! [`EntryValidity`] rules for them and the salvage accounting
+//! ([`SalvageReport`]) carries over unchanged: torn entries are dropped and
+//! counted, holes are closed after a stall deadline, truncated files are
+//! clamped and accounted, corrupt headers kill the source instead of the
+//! daemon. [`FileShmWriter::crash_after_reserve`] and
+//! [`FileShmWriter::write_torn`] inject exactly those two states.
+//!
+//! # Chunked reads
+//!
+//! The reader drains `[cursor, tail)` in chunks of at most 4096 slots
+//! (96 KiB): one positioned read per chunk rather than one per slot, and a
+//! fixed bound on both the read buffer and what a single read asks of the
+//! file. Each slot of a chunk is classified exactly as above; the drain
+//! stops at the first unpublished slot it must wait for. A source whose
+//! writer has finished and whose cursor has reached the tail releases its
+//! file handle and never reads the file again.
 //!
 //! Simplifications relative to the in-memory log, both forced by the
 //! transport: there is exactly **one writer per file** (each process
@@ -110,6 +133,21 @@ fn write_word(file: &File, off: u64, word: u64) -> io::Result<()> {
     file.write_all_at(&word.to_le_bytes(), off)
 }
 
+/// The on-disk bytes of one slot: its three words, little-endian.
+fn slot_bytes(entry: &LogEntry) -> [u8; ENTRY_BYTES as usize] {
+    let mut slot = [0u8; ENTRY_BYTES as usize];
+    for (bytes, word) in slot.chunks_exact_mut(8).zip(entry.pack()) {
+        bytes.copy_from_slice(&word.to_le_bytes());
+    }
+    slot
+}
+
+/// Decode one slot's bytes (the inverse of [`slot_bytes`]).
+fn slot_entry(slot: &[u8]) -> LogEntry {
+    let word = |i: usize| u64::from_le_bytes(slot[i * 8..i * 8 + 8].try_into().expect("8 bytes"));
+    LogEntry::unpack([word(0), word(1), word(2)])
+}
+
 /// Why a log file could not be opened (or stopped being trusted).
 #[derive(Debug)]
 pub enum ShmFileError {
@@ -154,8 +192,8 @@ impl From<io::Error> for ShmFileError {
     }
 }
 
-/// The producer half: one process's log file, written with the
-/// reserve → write → publish discipline (see the module docs).
+/// The producer half: one process's log file, written by its single
+/// writer with the publish-by-tail discipline (see the module docs).
 #[derive(Debug)]
 pub struct FileShmWriter {
     file: File,
@@ -229,58 +267,57 @@ impl FileShmWriter {
         self.tail.saturating_sub(self.size)
     }
 
-    /// Reserve the next slot: bump the tail *on disk* before any slot
-    /// byte, so a crash right here leaves an unpublished hole (the state
-    /// the salvage rules expect), never a phantom entry. Returns the
-    /// reserved index, or `None` on overflow (the bump still happened —
-    /// overflow is accounted, not silent).
-    fn reserve(&mut self) -> io::Result<Option<u64>> {
+    /// Publish by tail: store the bumped tail word, making every slot
+    /// below it readable. Returns the index the bump covered (`None` past
+    /// capacity — the bump still happens, so overflow is accounted, not
+    /// silent).
+    fn bump_tail(&mut self) -> io::Result<Option<u64>> {
         let index = self.tail;
-        self.tail += 1;
-        write_word(&self.file, OFF_TAIL, self.tail)?;
+        write_word(&self.file, OFF_TAIL, index + 1)?;
+        self.tail = index + 1;
         Ok((index < self.size).then_some(index))
     }
 
-    /// Append one entry through the full reserve → write → publish path.
-    /// Returns the slot index, or `None` if the log is full (the drop is
-    /// visible to the consumer via the tail).
+    /// Append one entry: the whole slot in one positioned write, then the
+    /// tail bump that publishes it (see the module docs). Returns the slot
+    /// index, or `None` if the log is full (no slot is written; the drop
+    /// is visible to the consumer via the tail).
     ///
     /// # Errors
     /// Propagates file-system failures (disk full, file deleted under us).
     pub fn write(&mut self, entry: &LogEntry) -> io::Result<Option<u64>> {
-        let Some(index) = self.reserve()? else {
-            return Ok(None);
-        };
-        let off = LogEntry::offset_of(index);
-        let words = entry.pack();
-        write_word(&self.file, off + 8, words[1])?;
-        write_word(&self.file, off + 16, words[2])?;
-        write_word(&self.file, off, words[0])?;
-        Ok(Some(index))
+        if self.tail < self.size {
+            self.file
+                .write_all_at(&slot_bytes(entry), LogEntry::offset_of(self.tail))?;
+        }
+        self.bump_tail()
     }
 
-    /// Reserve a slot and abandon it — the on-disk state of a writer that
-    /// died between reserve and publish. Fault-injection entry point for
+    /// Bump the tail over a slot that was never written — the on-disk
+    /// state a writer using the old reserve-first order leaves when it
+    /// dies between reserve and publish (this writer's own crashes leave
+    /// the slot beyond the tail instead). Fault-injection entry point for
     /// the matrix tests; a correct writer never calls this.
     ///
     /// # Errors
     /// Propagates file-system failures.
     pub fn crash_after_reserve(&mut self) -> io::Result<()> {
-        self.reserve()?;
+        self.bump_tail()?;
         Ok(())
     }
 
-    /// Publish word 0 of a slot while leaving its address word zero — the
-    /// forbidden write order that produces a torn record. Fault-injection
-    /// entry point for the matrix tests.
+    /// Publish a slot holding only word 0 (kind + counter) with its address
+    /// word zero — the torn record a hostile writer produces.
+    /// Fault-injection entry point for the matrix tests.
     ///
     /// # Errors
     /// Propagates file-system failures.
     pub fn write_torn(&mut self, entry: &LogEntry) -> io::Result<()> {
-        if let Some(index) = self.reserve()? {
-            let off = LogEntry::offset_of(index);
+        if self.tail < self.size {
+            let off = LogEntry::offset_of(self.tail);
             write_word(&self.file, off, entry.pack()[0].max(1))?;
         }
+        self.bump_tail()?;
         Ok(())
     }
 
@@ -312,11 +349,55 @@ impl FileShmWriter {
 /// the default matches [`crate::SourceResilience`]'s patience.
 pub const DEFAULT_HOLE_PUMPS: u64 = 64;
 
+/// Slots per positioned read while draining (96 KiB): bounds the reader's
+/// buffer and what one read asks of the file.
+const READ_CHUNK_SLOTS: u64 = 4096;
+
+/// Fill `buf` from `off` as far as the file allows and return the byte
+/// count. A short count means end of file (or a failed read): the caller
+/// classifies only the whole slots it got.
+fn read_up_to(file: &File, buf: &mut [u8], off: u64) -> usize {
+    let mut filled = 0;
+    while filled < buf.len() {
+        match file.read_at(&mut buf[filled..], off + filled as u64) {
+            Ok(0) => break,
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(_) => break,
+        }
+    }
+    filled
+}
+
+/// Re-read and distrust-check the header: the file length, whether the
+/// writer is still ACTIVE, and the tail — or why the header can no longer
+/// be trusted. The control word is read before the tail, so a tail read
+/// after observing a finished writer is final.
+fn read_header(file: &File) -> Result<(u64, bool, u64), SalvageReason> {
+    let corrupt = |_| SalvageReason::CorruptHeader;
+    let len = file.metadata().map_err(corrupt)?.len();
+    if len < HEADER_BYTES {
+        return Err(SalvageReason::TruncatedFile);
+    }
+    if read_word(file, OFF_MAGIC).map_err(corrupt)? != LOG_MAGIC {
+        return Err(SalvageReason::CorruptHeader);
+    }
+    let control = read_word(file, OFF_CONTROL).map_err(corrupt)?;
+    let (active, _, _, _, version) = LogHeader::unpack_control(control);
+    if version != LOG_VERSION {
+        return Err(SalvageReason::CorruptHeader);
+    }
+    let tail = read_word(file, OFF_TAIL).map_err(corrupt)?;
+    Ok((len, active, tail))
+}
+
 /// The consumer half: an [`EventSource`] polling one registered log file.
 /// At most one source should drain a given file (the cursor is local).
 #[derive(Debug)]
 pub struct FileShmSource {
-    file: File,
+    /// `None` once the source is exhausted or dead: such a log is never
+    /// read again, so its handle (and the file's storage) is released.
+    file: Option<File>,
     path: PathBuf,
     pid: u64,
     size: u64,
@@ -363,7 +444,7 @@ impl FileShmSource {
             return Err(ShmFileError::ZeroCapacity);
         }
         Ok(FileShmSource {
-            file,
+            file: Some(file),
             path: path.to_path_buf(),
             pid,
             size,
@@ -403,38 +484,18 @@ impl FileShmSource {
         self.writer_done
     }
 
-    /// Re-read and distrust-check the header. Returns the tail, or `None`
-    /// after marking the source dead (corrupt or vanished header).
-    fn reread_header(&mut self) -> Option<u64> {
-        let go_dead = |s: &mut FileShmSource, reason: SalvageReason| {
-            s.salvage.incident(reason);
-            s.dead = true;
-            None
+    /// Re-read the header; returns the tail, or `None` after marking the
+    /// source dead (corrupt or vanished header).
+    fn reread_header(&mut self, file: &File) -> Option<u64> {
+        let (len, active, tail) = match read_header(file) {
+            Ok(header) => header,
+            Err(reason) => {
+                self.salvage.incident(reason);
+                self.dead = true;
+                return None;
+            }
         };
-        let len = match self.file.metadata() {
-            Ok(m) => m.len(),
-            Err(_) => return go_dead(self, SalvageReason::CorruptHeader),
-        };
-        if len < HEADER_BYTES {
-            return go_dead(self, SalvageReason::TruncatedFile);
-        }
-        let Ok(magic) = read_word(&self.file, OFF_MAGIC) else {
-            return go_dead(self, SalvageReason::CorruptHeader);
-        };
-        if magic != LOG_MAGIC {
-            return go_dead(self, SalvageReason::CorruptHeader);
-        }
-        let Ok(control) = read_word(&self.file, OFF_CONTROL) else {
-            return go_dead(self, SalvageReason::CorruptHeader);
-        };
-        let (active, _, _, _, version) = LogHeader::unpack_control(control);
-        if version != LOG_VERSION {
-            return go_dead(self, SalvageReason::CorruptHeader);
-        }
         self.writer_done = !active;
-        let Ok(tail) = read_word(&self.file, OFF_TAIL) else {
-            return go_dead(self, SalvageReason::CorruptHeader);
-        };
         // Entries actually backed by bytes on disk. A file cut below what
         // the tail promises lost records: clamp, account them exactly
         // once, and stop trusting the file to ever grow them back.
@@ -450,51 +511,52 @@ impl FileShmSource {
         Some(tail)
     }
 
-    /// Drain published entries from the cursor up to `limit`, applying the
-    /// validity rules per slot. `close_holes` short-circuits the stall
-    /// deadline (the final drain: nothing will ever publish them).
-    fn poll_published(&mut self, limit: u64, close_holes: bool) -> Vec<LogEntry> {
+    /// Drain published entries from the cursor up to `limit`, one chunk
+    /// read at a time, applying the validity rules per slot. `close_holes`
+    /// short-circuits the stall deadline (the final drain: nothing will
+    /// ever publish them).
+    fn poll_published(&mut self, file: &File, limit: u64, close_holes: bool) -> Vec<LogEntry> {
         let mut out = Vec::new();
+        let mut buf = Vec::new();
         while self.cursor < limit {
-            let off = LogEntry::offset_of(self.cursor);
-            let mut buf = [0u8; ENTRY_BYTES as usize];
-            if self.file.read_exact_at(&mut buf, off).is_err() {
+            let want = (limit - self.cursor).min(READ_CHUNK_SLOTS);
+            buf.resize((want * ENTRY_BYTES) as usize, 0);
+            let got = read_up_to(file, &mut buf, LogEntry::offset_of(self.cursor));
+            for slot in buf[..got].chunks_exact(ENTRY_BYTES as usize) {
+                let entry = slot_entry(slot);
+                match entry.validity() {
+                    EntryValidity::Valid => {
+                        self.stalled = 0;
+                        self.cursor += 1;
+                        self.salvage.kept += 1;
+                        out.push(entry);
+                    }
+                    EntryValidity::Torn => {
+                        // Published-looking but impossible: skip and account.
+                        self.stalled = 0;
+                        self.cursor += 1;
+                        self.salvage.drop_n(SalvageReason::TornEntry, 1);
+                    }
+                    EntryValidity::Unpublished => {
+                        // A slot below the tail nobody published. Wait for
+                        // the writer (bounded), then close the hole and
+                        // move on — a dead writer must not wedge the
+                        // cursor forever.
+                        if close_holes || self.writer_done || self.stalled >= self.hole_pumps {
+                            self.stalled = 0;
+                            self.cursor += 1;
+                            self.salvage.drop_n(SalvageReason::UnpublishedSlot, 1);
+                        } else {
+                            self.stalled += 1;
+                            return out;
+                        }
+                    }
+                }
+            }
+            if got < buf.len() {
                 // Bytes vanished mid-drain; the header re-read accounted
                 // the loss (or will on the next pump) — stop here.
                 break;
-            }
-            let words = [
-                u64::from_le_bytes(buf[0..8].try_into().expect("8-byte chunk")),
-                u64::from_le_bytes(buf[8..16].try_into().expect("8-byte chunk")),
-                u64::from_le_bytes(buf[16..24].try_into().expect("8-byte chunk")),
-            ];
-            let entry = LogEntry::unpack(words);
-            match entry.validity() {
-                EntryValidity::Valid => {
-                    self.stalled = 0;
-                    self.cursor += 1;
-                    self.salvage.kept += 1;
-                    out.push(entry);
-                }
-                EntryValidity::Torn => {
-                    // Published-looking but impossible: skip and account.
-                    self.stalled = 0;
-                    self.cursor += 1;
-                    self.salvage.drop_n(SalvageReason::TornEntry, 1);
-                }
-                EntryValidity::Unpublished => {
-                    // A reserved slot nobody published yet. Wait for the
-                    // writer (bounded), then close the hole and move on —
-                    // a dead writer must not wedge the cursor forever.
-                    if close_holes || self.writer_done || self.stalled >= self.hole_pumps {
-                        self.stalled = 0;
-                        self.cursor += 1;
-                        self.salvage.drop_n(SalvageReason::UnpublishedSlot, 1);
-                    } else {
-                        self.stalled += 1;
-                        break;
-                    }
-                }
             }
         }
         out
@@ -504,14 +566,18 @@ impl FileShmSource {
         if self.dead {
             return SourceBatch::default();
         }
-        let Some(tail) = self.reread_header() else {
+        // Released: exhausted, nothing more will ever be published.
+        let Some(file) = self.file.take() else {
+            return SourceBatch::default();
+        };
+        let Some(tail) = self.reread_header(&file) else {
             return SourceBatch::default();
         };
         let mut limit = tail.min(self.size);
         if let Some(cut) = self.truncated_at {
             limit = limit.min(cut);
         }
-        let entries = self.poll_published(limit, close_holes);
+        let entries = self.poll_published(&file, limit, close_holes);
         if self.truncated_at.is_some() {
             // Everything salvageable below the cut is out; the file is no
             // longer a faithful log.
@@ -522,6 +588,13 @@ impl FileShmSource {
         let overflowed = tail.saturating_sub(self.size);
         let newly_dropped = overflowed.saturating_sub(self.dropped_seen);
         self.dropped_seen = overflowed;
+        // The tail was read after the writer was seen finished, so it is
+        // final: once the cursor reaches it the source is exhausted and,
+        // like a dead one, never reads the file again.
+        let exhausted = self.writer_done && self.cursor >= tail.min(self.size);
+        if !self.dead && !exhausted {
+            self.file = Some(file);
+        }
         SourceBatch {
             entries,
             rotated: false,
@@ -554,9 +627,10 @@ impl EventSource for FileShmSource {
 
     fn is_exhausted(&self) -> bool {
         // Exhausted only when the writer declared itself done AND the
-        // cursor has consumed everything it promised. A dead source is
-        // not exhausted — it is quarantined by the watchdog instead.
-        !self.dead && self.writer_done && self.cursor >= self.size.min(self.tail_cache())
+        // cursor has consumed everything it promised (the file is then
+        // released). A dead source is not exhausted — it is quarantined
+        // by the watchdog instead.
+        !self.dead && self.file.is_none()
     }
 
     fn salvage(&self) -> SalvageReport {
@@ -568,19 +642,12 @@ impl EventSource for FileShmSource {
     }
 }
 
-impl FileShmSource {
-    /// Best-effort tail read for the exhaustion check (no state change;
-    /// a read failure just means "not provably exhausted").
-    fn tail_cache(&self) -> u64 {
-        read_word(&self.file, OFF_TAIL).unwrap_or(u64::MAX)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::layout::EventKind;
     use crate::log::make_header;
+    use proptest::prelude::*;
 
     /// A unique scratch registration dir per test (removed on drop).
     struct ScratchDir(PathBuf);
@@ -829,5 +896,284 @@ mod tests {
         w.write(&entry(3)).unwrap();
         let b = src.drain_to_end();
         assert_eq!(b.entries.len(), 2);
+    }
+
+    /// Whether this process still holds a descriptor on `path`.
+    fn holds_open(path: &Path) -> bool {
+        let Ok(fds) = std::fs::read_dir("/proc/self/fd") else {
+            return false;
+        };
+        fds.flatten()
+            .any(|fd| std::fs::read_link(fd.path()).is_ok_and(|target| target == path))
+    }
+
+    #[test]
+    fn exhausted_source_releases_its_file() {
+        let dir = scratch("release");
+        let mut w = FileShmWriter::create(&dir.0, &header(7, 4)).unwrap();
+        for k in 1..=6 {
+            w.write(&entry(k)).unwrap();
+        }
+        w.finish().unwrap();
+        drop(w);
+        let path = log_path(&dir.0, 7);
+        let mut src = FileShmSource::open(&path).unwrap();
+        assert!(holds_open(&path));
+        let b = src.pump();
+        assert_eq!((b.entries.len(), b.dropped), (4, 2));
+        assert!(src.is_exhausted());
+        assert!(!holds_open(&path), "an exhausted source drops its File");
+        let before = (src.salvage(), src.dropped_total());
+
+        // Neither a cut nor a deleted file reaches a released source.
+        OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(0)
+            .unwrap();
+        assert_eq!(src.pump(), SourceBatch::default());
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(src.pump(), SourceBatch::default());
+        assert_eq!(src.drain_to_end(), SourceBatch::default());
+        assert!(src.is_exhausted());
+        assert!(!src.is_dead());
+        assert_eq!((src.salvage(), src.dropped_total()), before);
+    }
+
+    #[test]
+    fn active_or_undrained_sources_keep_reading() {
+        let dir = scratch("keep");
+        let mut w = FileShmWriter::create(&dir.0, &header(7, 8)).unwrap();
+        w.write(&entry(1)).unwrap();
+        w.crash_after_reserve().unwrap();
+        let mut src = FileShmSource::open(&log_path(&dir.0, 7))
+            .unwrap()
+            .with_hole_pumps(8);
+        assert_eq!(src.pump().entries, vec![entry(1)]);
+        assert!(!src.is_exhausted(), "writer still active");
+        w.write(&entry(3)).unwrap();
+        w.finish().unwrap();
+        // The finished writer's hole is closed and the drain completes.
+        assert_eq!(src.pump().entries, vec![entry(3)]);
+        assert!(src.is_exhausted());
+        assert_eq!(src.salvage().count(SalvageReason::UnpublishedSlot), 1);
+    }
+
+    #[test]
+    fn slot_written_without_its_tail_bump_is_invisible() {
+        // A writer that dies between the slot write and the tail bump: the
+        // slot sits beyond the tail, fully written.
+        let dir = scratch("beyondtail");
+        let mut w = FileShmWriter::create(&dir.0, &header(7, 8)).unwrap();
+        w.write(&entry(1)).unwrap();
+        w.write(&entry(2)).unwrap();
+        w.file
+            .write_all_at(&slot_bytes(&entry(3)), LogEntry::offset_of(w.tail()))
+            .unwrap();
+        let mut src = FileShmSource::open(&log_path(&dir.0, 7))
+            .unwrap()
+            .with_hole_pumps(0);
+        assert_eq!(src.pump().entries, vec![entry(1), entry(2)]);
+        for _ in 0..4 {
+            assert!(src.pump().entries.is_empty());
+        }
+        assert!(src.drain_to_end().entries.is_empty());
+        w.finish().unwrap();
+        assert!(src.drain_to_end().entries.is_empty());
+        assert!(src.is_exhausted());
+        let report = src.salvage();
+        assert!(
+            report.is_clean(),
+            "never delivered, never counted: {report:?}"
+        );
+        assert_eq!(report.kept, 2);
+        assert_eq!(src.dropped_total(), 0);
+    }
+
+    /// Fill slots `0..n` with valid entries numbered from 1.
+    fn write_valid(w: &mut FileShmWriter, n: u64) {
+        for k in 1..=n {
+            w.write(&entry(k)).unwrap();
+        }
+    }
+
+    #[test]
+    fn torn_slot_ends_a_chunk_and_hole_starts_the_next() {
+        let dir = scratch("boundary1");
+        let c = READ_CHUNK_SLOTS;
+        let mut w = FileShmWriter::create(&dir.0, &header(7, 3 * c)).unwrap();
+        write_valid(&mut w, c - 1);
+        w.write_torn(&entry(c)).unwrap(); // slot c - 1: last of chunk 0
+        w.crash_after_reserve().unwrap(); // slot c: first of chunk 1
+        w.write(&entry(c + 2)).unwrap();
+        let mut src = FileShmSource::open(&log_path(&dir.0, 7))
+            .unwrap()
+            .with_hole_pumps(1);
+        let b = src.pump();
+        assert_eq!(b.entries.len() as u64, c - 1, "stops at the hole");
+        assert_eq!(b.entries.last(), Some(&entry(c - 1)));
+        assert_eq!(src.salvage().count(SalvageReason::TornEntry), 1);
+        assert_eq!(src.pump().entries, vec![entry(c + 2)], "hole closed");
+        let report = src.salvage();
+        assert_eq!(report.count(SalvageReason::UnpublishedSlot), 1);
+        assert_eq!(report.kept, c);
+    }
+
+    #[test]
+    fn hole_ends_a_chunk_and_torn_slot_starts_the_next() {
+        let dir = scratch("boundary2");
+        let c = READ_CHUNK_SLOTS;
+        let mut w = FileShmWriter::create(&dir.0, &header(7, 3 * c)).unwrap();
+        write_valid(&mut w, c - 1);
+        w.crash_after_reserve().unwrap(); // slot c - 1: last of chunk 0
+        w.write_torn(&entry(c + 1)).unwrap(); // slot c: first of chunk 1
+        for k in c + 2..=2 * c + 1 {
+            w.write(&entry(k)).unwrap(); // through the next boundary
+        }
+        let mut src = FileShmSource::open(&log_path(&dir.0, 7))
+            .unwrap()
+            .with_hole_pumps(1);
+        assert_eq!(src.pump().entries.len() as u64, c - 1);
+        let b = src.pump();
+        assert_eq!(b.entries.len() as u64, c);
+        assert_eq!(b.entries.first(), Some(&entry(c + 2)));
+        assert_eq!(b.entries.last(), Some(&entry(2 * c + 1)));
+        let report = src.salvage();
+        assert_eq!(report.count(SalvageReason::UnpublishedSlot), 1);
+        assert_eq!(report.count(SalvageReason::TornEntry), 1);
+        assert_eq!(report.kept, 2 * c - 1);
+    }
+
+    /// What one slot below the tail holds, per the writer's fault entry
+    /// points.
+    #[derive(Clone, Copy)]
+    enum Slot {
+        Valid(LogEntry),
+        Torn,
+        Hole,
+    }
+
+    /// The reference reader: the validity rules applied to an in-memory
+    /// slot list, one slot at a time.
+    struct Model {
+        slots: Vec<Slot>,
+        tail: u64,
+        size: u64,
+        cursor: usize,
+        stalled: u64,
+        hole_pumps: u64,
+        torn: u64,
+        holes: u64,
+        dropped_seen: u64,
+    }
+
+    impl Model {
+        fn append(&mut self, slot: Slot) {
+            if self.tail < self.size {
+                self.slots.push(slot);
+            }
+            self.tail += 1;
+        }
+
+        fn pump(&mut self, close_holes: bool) -> (Vec<LogEntry>, u64) {
+            let mut out = Vec::new();
+            while self.cursor < self.slots.len() {
+                match self.slots[self.cursor] {
+                    Slot::Valid(e) => out.push(e),
+                    Slot::Torn => self.torn += 1,
+                    Slot::Hole if close_holes || self.stalled >= self.hole_pumps => {
+                        self.holes += 1;
+                    }
+                    Slot::Hole => {
+                        self.stalled += 1;
+                        break;
+                    }
+                }
+                self.stalled = 0;
+                self.cursor += 1;
+            }
+            let overflowed = self.tail.saturating_sub(self.size);
+            let dropped = overflowed - self.dropped_seen;
+            self.dropped_seen = overflowed;
+            (out, dropped)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Random runs of writes, torn slots, crash holes and pumps over a
+        /// log longer than two read chunks: every pump, then the final
+        /// drain, must deliver and account exactly what the per-slot
+        /// model does.
+        #[test]
+        fn prop_chunked_reader_matches_the_per_slot_model(
+            extra in 0u64..2 * READ_CHUNK_SLOTS,
+            hole_pumps in 0u64..3,
+            ops in proptest::collection::vec((0u8..8, 1u64..4000), 2..16),
+        ) {
+            let dir = scratch("prop");
+            let size = 2 * READ_CHUNK_SLOTS + extra;
+            let mut w = FileShmWriter::create(&dir.0, &header(7, size)).unwrap();
+            let mut src = FileShmSource::open(&log_path(&dir.0, 7))
+                .unwrap()
+                .with_hole_pumps(hole_pumps);
+            let mut model = Model {
+                slots: Vec::new(),
+                tail: 0,
+                size,
+                cursor: 0,
+                stalled: 0,
+                hole_pumps,
+                torn: 0,
+                holes: 0,
+                dropped_seen: 0,
+            };
+            let mut next = 1u64;
+            for (op, n) in ops {
+                match op {
+                    0..=3 => {
+                        for _ in 0..n {
+                            w.write(&entry(next)).unwrap();
+                            model.append(Slot::Valid(entry(next)));
+                            next += 1;
+                        }
+                    }
+                    4 => {
+                        for _ in 0..n % 3 + 1 {
+                            w.write_torn(&entry(next)).unwrap();
+                            model.append(Slot::Torn);
+                            next += 1;
+                        }
+                    }
+                    5 => {
+                        for _ in 0..n % 3 + 1 {
+                            w.crash_after_reserve().unwrap();
+                            model.append(Slot::Hole);
+                        }
+                    }
+                    _ => {
+                        let b = src.pump();
+                        let (entries, dropped) = model.pump(false);
+                        prop_assert_eq!(b.entries, entries);
+                        prop_assert_eq!(b.dropped, dropped);
+                    }
+                }
+            }
+            w.finish().unwrap();
+            let b = src.drain_to_end();
+            let (entries, dropped) = model.pump(true);
+            prop_assert_eq!(b.entries, entries);
+            prop_assert_eq!(b.dropped, dropped);
+            prop_assert!(src.is_exhausted());
+            let report = src.salvage();
+            let valid = model.slots.iter().filter(|s| matches!(s, Slot::Valid(_))).count();
+            prop_assert_eq!(report.kept, valid as u64);
+            prop_assert_eq!(report.count(SalvageReason::TornEntry), model.torn);
+            prop_assert_eq!(report.count(SalvageReason::UnpublishedSlot), model.holes);
+            prop_assert_eq!(report.dropped, model.torn + model.holes);
+            prop_assert_eq!(src.dropped_total(), model.tail.saturating_sub(size));
+        }
     }
 }

@@ -2,7 +2,9 @@
 //! transport. The e2e tests and the CI smoke stage spawn several of these
 //! as real OS child processes; each registers `<pid>.tplog` (+ `<pid>.sym`)
 //! in the shared directory and publishes a deterministic `main → work →
-//! leaf` call tree through the reserve → write → publish discipline.
+//! leaf` call tree through [`FileShmWriter`]'s publish-by-tail discipline:
+//! each event is one slot write followed by one tail write, so the daemon
+//! never reads a slot before it is whole.
 //!
 //! ```text
 //! teeperf-shm-writer --dir DIR [--pid N] [--iterations N] [--capacity N]

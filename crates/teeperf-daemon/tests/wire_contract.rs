@@ -68,29 +68,28 @@ impl SnapshotService for Canned {
     }
 }
 
-/// One live server for the whole test binary: accept → parse → route →
-/// respond, one connection at a time, forever (it dies with the process).
-fn server() -> &'static (SocketAddr, Arc<Mutex<Snapshot>>) {
-    static SERVER: OnceLock<(SocketAddr, Arc<Mutex<Snapshot>>)> = OnceLock::new();
-    SERVER.get_or_init(|| {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind test server");
-        let addr = listener.local_addr().expect("local addr");
-        let current = Arc::new(Mutex::new(empty_snapshot()));
-        let mut service = Canned {
-            current: Arc::clone(&current),
-        };
-        std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                let Ok(mut stream) = stream else { continue };
-                let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-                if let Ok(req) = http::read_request(&mut stream) {
-                    let (response, _) = route(&mut service, &req);
-                    let _ = response.write_to(&mut stream);
-                }
+/// A live server owned by one test: accept → parse → route → respond, one
+/// connection at a time, serving the snapshot behind the returned handle.
+/// Each test starts its own, so no test can swap the snapshot another one
+/// is fetching; the thread dies with the process.
+fn server() -> (SocketAddr, Arc<Mutex<Snapshot>>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind test server");
+    let addr = listener.local_addr().expect("local addr");
+    let current = Arc::new(Mutex::new(empty_snapshot()));
+    let mut service = Canned {
+        current: Arc::clone(&current),
+    };
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(mut stream) = stream else { continue };
+            let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
+            if let Ok(req) = http::read_request(&mut stream) {
+                let (response, _) = route(&mut service, &req);
+                let _ = response.write_to(&mut stream);
             }
-        });
-        (addr, current)
-    })
+        }
+    });
+    (addr, current)
 }
 
 fn fetch(addr: SocketAddr, path: &str) -> (u16, String) {
@@ -177,7 +176,9 @@ proptest::proptest! {
             .expect("every generated snapshot serializes parseably");
         prop_assert_eq!(&direct, &snap.status);
 
-        let (addr, current) = server();
+        // This test's own server, shared by its cases (which run in turn).
+        static SERVER: OnceLock<(SocketAddr, Arc<Mutex<Snapshot>>)> = OnceLock::new();
+        let (addr, current) = SERVER.get_or_init(server);
         let expected_text = snap.to_text();
         let pid_probe = snap.profile.pids.iter().next().copied();
         *current.lock().expect("snapshot lock") = snap;
@@ -203,9 +204,8 @@ proptest::proptest! {
 
 #[test]
 fn unknown_pid_is_a_404_not_a_forged_snapshot() {
-    let (addr, current) = server();
-    *current.lock().expect("snapshot lock") = empty_snapshot();
-    let (status, body) = fetch(*addr, "/pid/424242");
+    let (addr, _current) = server();
+    let (status, body) = fetch(addr, "/pid/424242");
     assert_eq!(status, 404);
     assert!(
         Snapshot::summary_from_text(&body).is_err(),

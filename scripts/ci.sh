@@ -55,6 +55,9 @@ run cargo test -q --workspace --offline
 tmo 60 cargo test -q --offline -p teeperf-live --test fault_matrix
 tmo 60 cargo test -q --offline -p teeperf-core faults::
 tmo 60 cargo test -q --offline -p teeperf-core source::tests
+# The file transport real processes use: publish-by-tail writer, chunked
+# reader, chunk-boundary faults and the per-slot model proptest.
+tmo 60 cargo test -q --offline -p teeperf-core shm_file::
 
 # Protocol lint (ISSUE 6): no raw atomics outside the SharedMem/MemModel
 # seam, every Ordering choice justified with an `// ord:` comment, no
