@@ -25,13 +25,21 @@ use std::fmt::Write as _;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use lsm_store::{run_db_bench, BenchOptions};
 use tee_sim::{CostModel, Machine};
 use teeperf_analyzer::symbolize::Symbolizer;
 use teeperf_analyzer::Profile;
-use teeperf_core::{Profiler, Recorder, RecorderConfig};
-use teeperf_live::{DrainPolicy, Drainer, RollingProfile};
+use teeperf_core::{EventSource, LiveLogSource, Profiler, Recorder, RecorderConfig};
+use teeperf_live::RollingProfile;
+
+/// How long the drain thread sleeps after a pump that found nothing. The
+/// source closes a hole (a slot reserved but not yet published) after 64
+/// consecutive stuck pumps; at this backoff that deadline is at least
+/// 64 ms of real time, so a writer descheduled between reserve and
+/// publish gets that long to finish before its slot is given up on.
+const IDLE_BACKOFF: Duration = Duration::from_millis(1);
 
 /// Harness options.
 #[derive(Debug, Clone)]
@@ -43,7 +51,7 @@ pub struct LiveBenchOptions {
     /// Capacity of the live session's rotating log, in entries. The batch
     /// run gets `1 << 24` regardless — it has to hold everything.
     pub live_log_entries: u64,
-    /// Rotation watermark percentage for the live drainer.
+    /// Rotation watermark percentage for the live drain.
     pub watermark_pct: u8,
     /// TEE architecture.
     pub cost: CostModel,
@@ -183,16 +191,12 @@ pub fn run_live_overhead(options: &LiveBenchOptions) -> LiveBenchResult {
     let header = recorder.log().header();
     let stop = Arc::new(AtomicBool::new(false));
     let drain_thread = {
-        let log = recorder.log().clone();
-        let policy = DrainPolicy {
-            watermark_pct: options.watermark_pct,
-        };
+        let mut source = LiveLogSource::new(recorder.log().clone(), options.watermark_pct);
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
-            let mut drainer = Drainer::new(log, policy);
             let mut rolling = RollingProfile::new();
             loop {
-                let batch = drainer.pump();
+                let batch = source.pump();
                 rolling.ingest(&batch.entries);
                 // ord: Acquire pairs with the Release store below so the
                 // drainer observes everything the workload wrote before
@@ -200,7 +204,7 @@ pub fn run_live_overhead(options: &LiveBenchOptions) -> LiveBenchResult {
                 if stop.load(Ordering::Acquire) {
                     // Writers are done: flush the final partial epoch.
                     loop {
-                        let last = drainer.rotate_now();
+                        let last = source.drain_to_end();
                         if last.entries.is_empty() && last.dropped == 0 {
                             break;
                         }
@@ -209,11 +213,11 @@ pub fn run_live_overhead(options: &LiveBenchOptions) -> LiveBenchResult {
                     break;
                 }
                 if batch.entries.is_empty() {
-                    std::thread::yield_now();
+                    std::thread::sleep(IDLE_BACKOFF);
                 }
             }
             rolling.finish();
-            (drainer.epoch(), drainer.dropped_total(), rolling)
+            (source.epoch(), source.dropped_total(), rolling)
         })
     };
     let wall = std::time::Instant::now();

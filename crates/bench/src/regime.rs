@@ -35,8 +35,8 @@ use tee_sim::SharedMem;
 use teeperf_analyzer::symbolize::Symbolizer;
 use teeperf_core::layout::{EventKind, LogEntry};
 use teeperf_core::log::{make_header, region_bytes};
-use teeperf_core::{FidelityGate, Regime, SharedLog};
-use teeperf_live::{DrainPolicy, LiveConfig, LiveSession, OverheadBudget, SessionEvent};
+use teeperf_core::{FidelityGate, LiveLogSource, Regime, SharedLog};
+use teeperf_live::{LiveConfig, LiveSession, OverheadBudget, SessionEvent};
 
 /// The three load phases of the ramp, in order.
 pub const PHASES: [&str; 3] = ["calm", "storm", "recovery"];
@@ -226,10 +226,9 @@ fn run_one(options: &RegimeBenchOptions, mode: Mode) -> RunStats {
     let log = fresh_log(options.capacity);
     let mut session = session_wanted.then(|| {
         LiveSession::new(
-            log.clone(),
+            Box::new(LiveLogSource::new(log.clone(), 50)),
             Symbolizer::without_relocation(debug()),
             LiveConfig {
-                policy: DrainPolicy { watermark_pct: 50 },
                 refresh_events: 0,
                 budget,
                 ..LiveConfig::default()

@@ -10,7 +10,7 @@ use teeperf_analyzer::Analyzer;
 use teeperf_compiler::{compile_instrumented, profile_program, run_native, InstrumentOptions};
 use teeperf_core::{EventSource, FileReplaySource, LogFile, RecorderConfig};
 use teeperf_flamegraph::{FlameGraph, SvgOptions};
-use teeperf_live::{DrainPolicy, LiveConfig, RingConfig, SessionRegistry, Snapshot};
+use teeperf_live::{LiveConfig, RingConfig, SessionRegistry, Snapshot};
 
 /// A CLI failure with a user-facing message and a process exit code.
 #[derive(Debug)]
@@ -59,7 +59,7 @@ const USAGE: &str = "usage:
                [--transition-mode classic|switchless]
                [--window-interval <ticks>] [--retain <n>] [--max-width <n>]
                [--overhead-budget <pct>]
-  teeperf live --logs <a,b,c> [--watermark <pct>] [--watchdog-timeout <pumps>]
+  teeperf live --logs <a,b,c> [--watchdog-timeout <pumps>]
                [--svg <file>] [--out <base>] [--window-interval <ticks>] [--retain <n>]
   teeperf analyze <base.tpf> <base.sym> [--salvage yes|no] [--analyzer-threads <n>]
   teeperf query <base.tpf> <base.sym> <query> [--analyzer-threads <n>]
@@ -370,7 +370,7 @@ fn live_watermark(args: &Args<'_>) -> Result<u8, CliError> {
             .ok()
             .filter(|p| (1..=99).contains(p))
             .ok_or_else(|| err(format!("bad --watermark `{v}` (want 1..=99)"))),
-        None => Ok(DrainPolicy::default().watermark_pct),
+        None => Ok(teeperf_core::DEFAULT_WATERMARK_PCT),
     }
 }
 
@@ -454,7 +454,6 @@ fn cmd_live(args: &Args<'_>) -> Result<String, CliError> {
         },
         &teeperf_live::LiveRunConfig {
             live: teeperf_live::LiveConfig {
-                policy: DrainPolicy { watermark_pct },
                 refresh_events,
                 // 0 keeps the session default (sequential epoch merging;
                 // pumps are frequent and batches small).
@@ -463,6 +462,7 @@ fn cmd_live(args: &Args<'_>) -> Result<String, CliError> {
                 budget: live_budget(args)?,
                 ..teeperf_live::LiveConfig::default()
             },
+            watermark_pct,
             ..teeperf_live::LiveRunConfig::default()
         },
         |_| Ok(()),
@@ -583,13 +583,13 @@ fn cmd_live_follow(args: &Args<'_>, count: &str) -> Result<String, CliError> {
         },
         &teeperf_live::LiveRunConfig {
             live: LiveConfig {
-                policy: DrainPolicy { watermark_pct },
                 refresh_events: 0,
                 analyzer_shards: args.analyzer_threads()?.max(1),
                 retention: live_retention(args)?,
                 budget: live_budget(args)?,
                 ..LiveConfig::default()
             },
+            watermark_pct,
             ..teeperf_live::LiveRunConfig::default()
         },
         &pids,
@@ -616,9 +616,15 @@ fn cmd_live_follow(args: &Args<'_>, count: &str) -> Result<String, CliError> {
 /// before the command gives up with exit code 2 — a typo in one of ten
 /// bases names the typo instead of panicking on the first open.
 fn cmd_live_logs(args: &Args<'_>, logs: &str) -> Result<String, CliError> {
-    let watermark_pct = live_watermark(args)?;
+    if args.flag("watermark").is_some() {
+        // A replay has no live log behind it, so nothing ever rotates.
+        return Err(CliError {
+            message: "--watermark has no effect with --logs: replayed logs never rotate"
+                .to_string(),
+            code: 2,
+        });
+    }
     let mut registry = SessionRegistry::new(LiveConfig {
-        policy: DrainPolicy { watermark_pct },
         refresh_events: 0,
         analyzer_shards: args.analyzer_threads()?.max(1),
         retention: live_retention(args)?,
@@ -1774,6 +1780,21 @@ mod tests {
 
         let e = dispatch(&strs(&["live", "--logs", &base, "--watchdog-timeout", "0"])).unwrap_err();
         assert!(e.to_string().contains("watchdog-timeout"), "{e}");
+    }
+
+    #[test]
+    fn logs_replay_rejects_a_watermark() {
+        let dir = tmpdir();
+        let prog = dir.join("mark.mc");
+        std::fs::write(&prog, "fn main() -> int { return 0; }").unwrap();
+        let prog = prog.to_str().unwrap().to_string();
+        let base = dir.join("mark").to_str().unwrap().to_string();
+        dispatch(&strs(&["record", &prog, "--out", &base, "--pid", "83"])).unwrap();
+
+        let e = dispatch(&strs(&["live", "--logs", &base, "--watermark", "50"])).unwrap_err();
+        assert_eq!(e.code, 2, "{e}");
+        assert!(e.to_string().contains("--watermark"), "{e}");
+        assert!(!USAGE.contains("--logs <a,b,c> [--watermark"), "{USAGE}");
     }
 
     #[test]

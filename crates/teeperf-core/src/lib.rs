@@ -87,4 +87,7 @@ pub use plog::{PartitionedHooks, PartitionedLog};
 pub use recorder::{Recorder, RecorderConfig};
 pub use select::SelectiveFilter;
 pub use shm_file::{FileShmSource, FileShmWriter, ShmFileError};
-pub use source::{EventSource, FileReplaySource, LiveLogSource, SourceBatch, SourceResilience};
+pub use source::{
+    EventSource, FileReplaySource, LiveLogSource, SourceBatch, SourceResilience,
+    DEFAULT_WATERMARK_PCT,
+};

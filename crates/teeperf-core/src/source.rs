@@ -141,6 +141,12 @@ impl Default for SourceResilience {
     }
 }
 
+/// The rotation watermark a [`LiveLogSource`] uses unless told otherwise,
+/// in percent of the log's capacity. It leaves headroom: writers keep
+/// appending while the rotation CAS and quiesce run, so rotating at three
+/// quarters full avoids drops in steady state.
+pub const DEFAULT_WATERMARK_PCT: u8 = 75;
+
 /// Live shared-memory drain: the [`EventSource`] over a [`SharedLog`]
 /// whose writers are still running. Owns the drain cursor; at most one
 /// `LiveLogSource` may exist per log (the rotation protocol is
@@ -576,6 +582,31 @@ mod tests {
         assert_eq!(b.epoch, 1);
         assert_eq!(src.rotations(), 1);
         assert_eq!(src.drained(), 6);
+    }
+
+    #[test]
+    fn live_source_accounts_overflow_instead_of_stopping() {
+        let log = live_log(7, 4);
+        let mut src = LiveLogSource::new(log.clone(), 99);
+        for k in 1..=7u64 {
+            log.write_live(&entry(k, 0x100 + k));
+        }
+        let b = src.pump();
+        assert!(b.rotated);
+        assert_eq!(b.entries.len(), 4);
+        assert_eq!(b.dropped, 3);
+        assert_eq!(src.dropped_total(), 3);
+        assert!(src.pump().entries.is_empty(), "no new entries, no re-reads");
+    }
+
+    #[test]
+    fn live_source_attaches_at_the_current_epoch() {
+        let log = live_log(7, 8);
+        let mut first = LiveLogSource::new(log.clone(), DEFAULT_WATERMARK_PCT);
+        first.drain_to_end();
+        first.drain_to_end();
+        let second = LiveLogSource::new(log, DEFAULT_WATERMARK_PCT);
+        assert_eq!(second.epoch(), 2);
     }
 
     #[test]

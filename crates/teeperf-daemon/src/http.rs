@@ -12,11 +12,16 @@
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Longest request head (request line + headers) the server will read;
 /// the daemon's API has no legitimate request anywhere near this.
 const MAX_HEAD_BYTES: usize = 8 * 1024;
+
+/// How long the server waits for one whole request head. A client that
+/// trickles bytes is dropped when it passes, however steadily it sends,
+/// so it cannot hold the daemon's single-threaded loop.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(2);
 
 /// One parsed request line. The daemon routes on method + target only;
 /// headers are read (to drain the head) and discarded.
@@ -51,13 +56,17 @@ impl Request {
 }
 
 /// Read one request head off `stream` (through the blank line); the body,
-/// if any, is ignored — every daemon endpoint is body-less.
+/// if any, is ignored — every daemon endpoint is body-less. The whole head
+/// must arrive within 2 s and fit in 8 KiB.
 ///
 /// # Errors
-/// I/O failures, an over-long head, and a malformed request line all
-/// surface as `InvalidData`-style errors; the caller drops the connection.
+/// I/O failures, a missed deadline (`TimedOut`), an over-long head, and a
+/// malformed request line all surface as errors; the caller drops the
+/// connection.
 pub fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
-    let mut reader = BufReader::new(stream);
+    let deadline = Instant::now() + REQUEST_DEADLINE;
+    let mut reader =
+        BufReader::new(DeadlineReader { stream, deadline }).take(MAX_HEAD_BYTES as u64);
     let mut line = String::new();
     reader.read_line(&mut line)?;
     let mut parts = line.split_whitespace();
@@ -70,22 +79,46 @@ pub fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
             ))
         }
     };
-    let mut head = line.len();
     loop {
         let mut header = String::new();
         let n = reader.read_line(&mut header)?;
-        head += n;
-        if head > MAX_HEAD_BYTES {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "request head too large",
-            ));
+        if header == "\r\n" || header == "\n" {
+            break;
         }
-        if n == 0 || header == "\r\n" || header == "\n" {
+        if n == 0 || !header.ends_with('\n') {
+            // The stream ended, or the head filled the byte budget, before
+            // the blank line: an over-long head is refused, a closed one
+            // is served as read.
+            if reader.limit() == 0 {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "request head too large",
+                ));
+            }
             break;
         }
     }
     Ok(Request { method, target })
+}
+
+/// A stream whose every read waits at most until one shared deadline.
+struct DeadlineReader<'a> {
+    stream: &'a mut TcpStream,
+    deadline: Instant,
+}
+
+impl Read for DeadlineReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                "request head not complete within the deadline",
+            ));
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
+    }
 }
 
 /// A complete response, written in one shot with `Connection: close`.

@@ -7,15 +7,18 @@
 //! * stdin EOF is the graceful-shutdown trigger: one more drain, the final
 //!   snapshot written to `--snapshot-out`, exit code 0;
 //! * a writer killed mid-session (SIGKILL) is quarantined by the liveness
-//!   machinery — the registry keeps serving, never wedges.
+//!   machinery — the registry keeps serving, never wedges;
+//! * a client trickling its request is dropped at the request deadline,
+//!   so it cannot hold the daemon's single loop.
 //!
 //! Every test carries a hang guard (the daemon's failure mode is an
 //! unresponsive loop, which a plain harness reports as a timeout at best).
 
-use std::io::{BufRead, BufReader};
-use std::net::SocketAddr;
+use std::io::{BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -392,4 +395,46 @@ fn writer_binary_rejects_bad_usage() {
         .output()
         .expect("run daemon");
     assert_eq!(out.status.code(), Some(2), "unknown flags are usage errors");
+}
+
+/// A client sending its request head one byte every 200 ms would take
+/// 20 s to finish it. The daemon reads one connection at a time, so
+/// without a whole-request deadline every other client (and the pump)
+/// waits for the trickle; with it, the slow client is dropped and a
+/// second client's `/healthz` is answered within seconds.
+#[test]
+fn trickling_client_cannot_stall_the_daemon() {
+    let _guard = hang_guard("trickling_client_cannot_stall_the_daemon");
+    let dir = scratch("trickle");
+    let daemon = DaemonProc::spawn(&dir.0, &[]);
+    let addr = daemon.addr;
+    let (stop, stopped) = mpsc::channel::<()>();
+    let trickle = std::thread::spawn(move || {
+        let mut stream = TcpStream::connect(addr).expect("connect slow client");
+        let head = b"GET /healthz HTTP/1.1\r\nX-Pad: "
+            .iter()
+            .chain(std::iter::repeat(&b'a'));
+        for byte in head.take(100) {
+            if stream.write_all(&[*byte]).is_err() {
+                return;
+            }
+            match stopped.recv_timeout(Duration::from_millis(200)) {
+                Err(RecvTimeoutError::Timeout) => {}
+                _ => return,
+            }
+        }
+    });
+    // Give the daemon time to accept the slow client first.
+    std::thread::sleep(Duration::from_millis(300));
+    let asked = Instant::now();
+    let reply = teeperf_daemon::http::get(&addr.to_string(), "/healthz", Duration::from_secs(60));
+    let waited = asked.elapsed();
+    let _ = stop.send(());
+    trickle.join().expect("slow client thread");
+    let (status, body) = reply.expect("/healthz answered");
+    assert_eq!((status, body.trim()), (200, "ok"));
+    assert!(
+        waited < Duration::from_secs(5),
+        "/healthz waited {waited:?} behind a trickling client"
+    );
 }

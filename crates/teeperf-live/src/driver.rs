@@ -1,46 +1,46 @@
-//! The live run driver: executes an instrumented Mini-C program while a
-//! drainer consumes its log concurrently.
+//! The live run drivers: execute an instrumented Mini-C program — once,
+//! or once per simulated process — while a [`SessionRegistry`] drains
+//! every log concurrently.
 //!
 //! The batch driver ([`teeperf_compiler::profile_program`]) runs to
-//! completion and then drains. Here the recorder's hooks append through the
-//! rotation-aware live path, and an [`InstrObserver`] pumps the
-//! [`LiveSession`] every `pump_every_instructions` executed instructions —
-//! the in-process, deterministic equivalent of a host-side drainer thread.
-//! The log can therefore be far smaller than the event stream: it rotates
-//! under the running program, and the rolling profile carries the truth.
+//! completion and then drains. Here each process's recorder hooks append
+//! through the rotation-aware live path into a log whose
+//! [`LiveLogSource`] is attached to one registry, and an
+//! [`InstrObserver`] pumps the registry every `pump_every_instructions`
+//! executed instructions — the in-process, deterministic equivalent of a
+//! host-side drainer thread. The log can therefore be far smaller than the
+//! event stream: it rotates under the running program, and the rolling
+//! profile carries the truth. A single-program run is a one-pid registry
+//! run.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::rc::Rc;
 
 use mcvm::debuginfo::DebugInfo;
-use mcvm::{InstrObserver, McError, RunConfig, SampleCtx, Vm};
+use mcvm::{CompiledProgram, InstrObserver, McError, RunConfig, SampleCtx, Vm};
 use tee_sim::{CostModel, Machine};
 use teeperf_analyzer::symbolize::Symbolizer;
-use teeperf_core::{LiveLogSource, LogFile, Recorder, RecorderConfig};
+use teeperf_core::layout::LogHeader;
+use teeperf_core::{LiveLogSource, LogFile, Recorder, RecorderConfig, DEFAULT_WATERMARK_PCT};
 
 use crate::registry::{AttachError, SessionRegistry};
-use crate::session::{LiveConfig, LiveSession};
+use crate::session::LiveConfig;
 use crate::snapshot::Snapshot;
 
 /// Tuning for one live run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LiveRunConfig {
-    /// Session policy (rotation watermark, refresh cadence).
+    /// Session policy (refresh cadence, retention, budget) for every
+    /// process's session.
     pub live: LiveConfig,
-    /// Pump the session every this many executed VM instructions. With
-    /// [`LiveRunConfig::adaptive_pump`] set this is the *base* (slowest)
-    /// cadence; the driver tightens it when epochs run hot.
+    /// Pump the registry every this many executed VM instructions.
     pub pump_every_instructions: u64,
-    /// Derive the pump interval from the observed per-epoch fill rate:
-    /// when a pump drains a batch at or past the rotation watermark the
-    /// interval halves (the writers are outrunning the drainer), and when
-    /// epochs come back cool it relaxes toward the base. The interval only
-    /// ever *shrinks* below the configured base — adaptation can reduce
-    /// drops relative to the fixed cadence, never add them.
-    pub adaptive_pump: bool,
+    /// Rotate each process's log once its epoch has filled this
+    /// percentage of the capacity (clamped to `1..=99` by the source).
+    pub watermark_pct: u8,
 }
 
 impl Default for LiveRunConfig {
@@ -48,7 +48,7 @@ impl Default for LiveRunConfig {
         LiveRunConfig {
             live: LiveConfig::default(),
             pump_every_instructions: 256,
-            adaptive_pump: true,
+            watermark_pct: DEFAULT_WATERMARK_PCT,
         }
     }
 }
@@ -79,95 +79,63 @@ pub struct LiveRun {
     pub output: Vec<String>,
     /// Total virtual cycles consumed.
     pub cycles: u64,
-    /// The pump interval (instructions) in effect when the run ended —
-    /// equals `pump_every_instructions` unless adaptation tightened it.
-    pub pump_interval_end: u64,
 }
 
-/// The pump: an instruction observer that hands the session CPU time on an
-/// instruction cadence, optionally adapting the cadence to the observed
-/// per-epoch fill rate.
-struct SessionPump {
-    session: Rc<RefCell<LiveSession>>,
-    /// Configured (slowest) interval.
-    base: u64,
-    /// Interval currently in effect, clamped to `[base/16, base]`.
+/// The pump: hands every attached session CPU time on a fixed
+/// instruction cadence while one of the simulated processes runs.
+struct CadencePump {
+    registry: Rc<RefCell<SessionRegistry>>,
     every: u64,
     since: u64,
-    adaptive: bool,
-    /// Log capacity in entries; together with the rotation watermark it
-    /// classifies a drained batch as hot or cool.
-    capacity: u64,
-    watermark_pct: u8,
-    /// Mirror of `every` readable after the VM swallows the observer.
-    interval_out: Rc<Cell<u64>>,
 }
 
-impl SessionPump {
-    /// Entries per pump at which the epoch is considered hot: the batch
-    /// reached the rotation watermark, meaning the writers filled the log
-    /// faster than the cadence drained it.
-    fn hot_threshold(&self) -> u64 {
-        (self.capacity * u64::from(self.watermark_pct) / 100).max(1)
-    }
-
-    fn adapt(&mut self, drained: u64) {
-        let floor = (self.base / 16).max(1);
-        if drained >= self.hot_threshold() {
-            self.every = (self.every / 2).max(floor);
-        } else if drained <= self.hot_threshold() / 2 {
-            // Cool epoch: relax back toward the base, never past it.
-            self.every = (self.every.saturating_mul(2)).min(self.base);
-        }
-        self.interval_out.set(self.every);
-    }
-}
-
-impl InstrObserver for SessionPump {
+impl InstrObserver for CadencePump {
     fn observe(&mut self, _machine: &mut Machine, _ctx: &SampleCtx<'_>) {
         self.since += 1;
         if self.since >= self.every {
             self.since = 0;
-            let drained = self.session.borrow_mut().pump() as u64;
-            if self.adaptive {
-                self.adapt(drained);
-            }
+            self.registry.borrow_mut().pump();
         }
     }
 }
 
-/// Run an instrumented `program` under a live session: hooks write through
-/// the rotation-aware path, the drainer pumps on an instruction cadence,
-/// and the result carries the final merged snapshot (plus a replay log for
-/// offline cross-checks).
-///
-/// # Errors
-/// Propagates runtime traps from the VM.
-pub fn live_profile_program(
-    program: mcvm::CompiledProgram,
+/// One finished program run of a simulated process.
+struct ProcessRun {
+    pid: u64,
+    exit_code: i64,
+    vm: Vm,
+    /// The log header as the recorder initialized it.
+    header: LogHeader,
+}
+
+/// Run `program` as one simulated process: a recorder and log stamped
+/// with `recorder_config.pid` (also the machine's `getpid`), its
+/// [`LiveLogSource`] attached to `registry`, hooks writing through the
+/// live path (with the writer-side fidelity gate when a budget is set),
+/// and the registry pumped on the configured cadence while it runs.
+fn run_process(
+    program: CompiledProgram,
     cost: CostModel,
     run_config: RunConfig,
     recorder_config: &RecorderConfig,
     live_config: &LiveRunConfig,
+    registry: &Rc<RefCell<SessionRegistry>>,
     setup: impl FnOnce(&mut Vm) -> Result<(), McError>,
-) -> Result<LiveRun, McError> {
-    let debug = program.debug.clone();
-    let machine = Machine::new(cost);
+) -> Result<ProcessRun, MultiLiveError> {
     let mut recorder_config = recorder_config.clone();
-    recorder_config.anchor = debug
+    recorder_config.anchor = program
+        .debug
         .functions()
         .first()
         .map_or(tee_sim::ENCLAVE_TEXT_BASE, |f| f.base_addr);
-
     let recorder = Recorder::new(&recorder_config);
     let header = recorder.log().header();
-    let symbolizer = Symbolizer::new(debug.clone(), &header);
-    let session = Rc::new(RefCell::new(LiveSession::new(
-        recorder.log().clone(),
-        symbolizer,
-        live_config.live.clone(),
-    )));
+    let symbolizer = Symbolizer::new(program.debug.clone(), &header);
+    let source = LiveLogSource::new(recorder.log().clone(), live_config.watermark_pct);
+    let pid = registry.borrow_mut().attach(Box::new(source), symbolizer)?;
 
+    let mut machine = Machine::new(cost);
+    machine.set_pid(pid);
     let mut vm = Vm::with_config(program, machine, run_config);
     recorder.attach(vm.machine_mut());
     let mut hooks = recorder
@@ -180,45 +148,79 @@ pub fn live_profile_program(
         hooks = hooks.with_fidelity_gate();
     }
     vm.set_hooks(Box::new(hooks));
-    let base = live_config.pump_every_instructions.max(1);
-    let interval_out = Rc::new(Cell::new(base));
-    vm.set_observer(Box::new(SessionPump {
-        session: Rc::clone(&session),
-        base,
-        every: base,
+    vm.set_observer(Box::new(CadencePump {
+        registry: Rc::clone(registry),
+        every: live_config.pump_every_instructions.max(1),
         since: 0,
-        adaptive: live_config.adaptive_pump,
-        capacity: recorder_config.max_entries,
-        watermark_pct: live_config.live.policy.watermark_pct,
-        interval_out: Rc::clone(&interval_out),
     }));
     setup(&mut vm)?;
     let exit_code = vm.run()?;
-
-    let mut session = session.borrow_mut();
-    let snapshot = session.finish();
-    let replay = LogFile::new(
-        {
-            let mut h = header;
-            h.active = false;
-            h.tail = session.events();
-            h.size = session.events().max(1);
-            h
-        },
-        session.replay_entries().to_vec(),
-    );
-    Ok(LiveRun {
+    Ok(ProcessRun {
+        pid,
         exit_code,
-        epochs: session.epochs(),
-        events: session.events(),
-        dropped: session.dropped(),
-        frames: session.frames().to_vec(),
-        replay,
+        vm,
+        header,
+    })
+}
+
+/// Run an instrumented `program` under a live session: hooks write through
+/// the rotation-aware path, the session is pumped on an instruction
+/// cadence, and the result carries the final snapshot (plus a replay log
+/// for offline cross-checks).
+///
+/// # Errors
+/// Propagates runtime traps from the VM; a recorder pid of 0
+/// ([`teeperf_core::layout::PID_UNSET`]) is reported as a runtime error,
+/// since the session is keyed by pid.
+pub fn live_profile_program(
+    program: CompiledProgram,
+    cost: CostModel,
+    run_config: RunConfig,
+    recorder_config: &RecorderConfig,
+    live_config: &LiveRunConfig,
+    setup: impl FnOnce(&mut Vm) -> Result<(), McError>,
+) -> Result<LiveRun, McError> {
+    let debug = program.debug.clone();
+    let registry = Rc::new(RefCell::new(SessionRegistry::new(live_config.live.clone())));
+    let run = run_process(
+        program,
+        cost,
+        run_config,
+        recorder_config,
+        live_config,
+        &registry,
+        setup,
+    )
+    .map_err(|e| match e {
+        MultiLiveError::Run(e) => e,
+        MultiLiveError::Attach(e) => McError::runtime(e.to_string()),
+    })?;
+
+    let mut registry = registry.borrow_mut();
+    let snapshot = registry
+        .finish()
+        .per_pid
+        .remove(&run.pid)
+        .expect("the run's pid was attached");
+    // A session quarantined mid-run (its log header corrupted) is retired:
+    // its snapshot survives, its frame history and replay end with it.
+    let session = registry.session(run.pid);
+    let replay_entries = session.map_or_else(Vec::new, |s| s.replay_entries().to_vec());
+    let mut header = run.header;
+    header.active = false;
+    header.tail = snapshot.status.events;
+    header.size = snapshot.status.events.max(1);
+    Ok(LiveRun {
+        exit_code: run.exit_code,
+        epochs: snapshot.status.epoch,
+        events: snapshot.status.events,
+        dropped: snapshot.status.dropped,
+        frames: session.map_or_else(Vec::new, |s| s.frames().to_vec()),
+        replay: LogFile::new(header, replay_entries),
         snapshot,
         debug,
-        output: vm.output().to_vec(),
-        cycles: vm.machine().clock().now(),
-        pump_interval_end: interval_out.get(),
+        output: run.vm.output().to_vec(),
+        cycles: run.vm.machine().clock().now(),
     })
 }
 
@@ -270,24 +272,6 @@ pub struct MultiLiveRun {
     pub dropped: u64,
 }
 
-/// The registry pump: hands every attached session CPU time on an
-/// instruction cadence while one of the simulated processes runs.
-struct RegistryPump {
-    registry: Rc<RefCell<SessionRegistry>>,
-    every: u64,
-    since: u64,
-}
-
-impl InstrObserver for RegistryPump {
-    fn observe(&mut self, _machine: &mut Machine, _ctx: &SampleCtx<'_>) {
-        self.since += 1;
-        if self.since >= self.every {
-            self.since = 0;
-            self.registry.borrow_mut().pump();
-        }
-    }
-}
-
 /// Run `program` once per entry of `pids` — each run a simulated process
 /// with its own recorder, shared log and pid — under one
 /// [`SessionRegistry`]: every log is drained by its own session, and the
@@ -303,51 +287,30 @@ impl InstrObserver for RegistryPump {
 /// [`MultiLiveError::Attach`] when a pid is zero or repeated;
 /// [`MultiLiveError::Run`] when a program run traps.
 pub fn live_profile_processes(
-    program: &mcvm::CompiledProgram,
+    program: &CompiledProgram,
     cost: &CostModel,
     run_config: &RunConfig,
     recorder_config: &RecorderConfig,
     live_config: &LiveRunConfig,
     pids: &[u64],
 ) -> Result<MultiLiveRun, MultiLiveError> {
-    let debug = program.debug.clone();
-    let anchor = debug
-        .functions()
-        .first()
-        .map_or(tee_sim::ENCLAVE_TEXT_BASE, |f| f.base_addr);
     let registry = Rc::new(RefCell::new(SessionRegistry::new(live_config.live.clone())));
     let mut exit_codes = Vec::with_capacity(pids.len());
-
     for &pid in pids {
-        let mut config = recorder_config.clone();
-        config.pid = pid;
-        config.anchor = anchor;
-        let recorder = Recorder::new(&config);
-        let header = recorder.log().header();
-        let symbolizer = Symbolizer::new(debug.clone(), &header);
-        let source = LiveLogSource::new(
-            recorder.log().clone(),
-            live_config.live.policy.watermark_pct,
-        );
-        registry.borrow_mut().attach(Box::new(source), symbolizer)?;
-
-        let mut machine = Machine::new(cost.clone());
-        machine.set_pid(pid);
-        let mut vm = Vm::with_config(program.clone(), machine, run_config.clone());
-        recorder.attach(vm.machine_mut());
-        let mut hooks = recorder
-            .sim_hooks(vm.machine().clock().clone())
-            .with_live_writes();
-        if live_config.live.budget.is_some() {
-            hooks = hooks.with_fidelity_gate();
-        }
-        vm.set_hooks(Box::new(hooks));
-        vm.set_observer(Box::new(RegistryPump {
-            registry: Rc::clone(&registry),
-            every: live_config.pump_every_instructions.max(1),
-            since: 0,
-        }));
-        exit_codes.push(vm.run()?);
+        let config = RecorderConfig {
+            pid,
+            ..recorder_config.clone()
+        };
+        let run = run_process(
+            program.clone(),
+            cost.clone(),
+            run_config.clone(),
+            &config,
+            live_config,
+            &registry,
+            |_| Ok(()),
+        )?;
+        exit_codes.push(run.exit_code);
     }
 
     let run = registry.borrow_mut().finish();
@@ -397,7 +360,7 @@ mod tests {
                     ..LiveConfig::default()
                 },
                 pump_every_instructions: 64,
-                adaptive_pump: true,
+                ..LiveRunConfig::default()
             },
             |_| Ok(()),
         )
@@ -486,51 +449,13 @@ mod tests {
             &LiveRunConfig {
                 live: LiveConfig::default(),
                 pump_every_instructions: 100_000,
-                adaptive_pump: false,
+                ..LiveRunConfig::default()
             },
             |_| Ok(()),
         )
         .unwrap();
         assert_eq!(run.events + run.dropped, 50);
         assert!(run.dropped > 0);
-    }
-
-    #[test]
-    fn adaptive_pump_never_drops_more_than_fixed() {
-        // A small log with a deliberately slow base cadence loses entries
-        // at the fixed interval. Adaptation only ever tightens the
-        // interval below the base, so at worst it pumps exactly like the
-        // fixed driver — it can reduce drops, never add them.
-        let base = 512;
-        let run_with = |adaptive: bool| {
-            live_profile_program(
-                compile_instrumented(SRC, &InstrumentOptions::default()).unwrap(),
-                CostModel::sgx_v1(),
-                RunConfig::default(),
-                &RecorderConfig {
-                    max_entries: 4,
-                    ..RecorderConfig::default()
-                },
-                &LiveRunConfig {
-                    live: LiveConfig::default(),
-                    pump_every_instructions: base,
-                    adaptive_pump: adaptive,
-                },
-                |_| Ok(()),
-            )
-            .unwrap()
-        };
-        let fixed = run_with(false);
-        let adaptive = run_with(true);
-        assert!(fixed.dropped > 0, "base cadence must be too slow here");
-        assert!(adaptive.dropped <= fixed.dropped);
-        // Every entry is accounted for, drained or dropped, either way.
-        assert_eq!(fixed.events + fixed.dropped, 50);
-        assert_eq!(adaptive.events + adaptive.dropped, 50);
-        // The reported interval stays inside the [base/16, base] clamp.
-        assert_eq!(fixed.pump_interval_end, base);
-        assert!(adaptive.pump_interval_end >= base / 16);
-        assert!(adaptive.pump_interval_end <= base);
     }
 
     fn multi_run(pids: &[u64]) -> Result<MultiLiveRun, MultiLiveError> {

@@ -6,25 +6,25 @@
 //! pipeline into a *streaming* one, so a session can run indefinitely over
 //! a fixed-size log:
 //!
-//! * [`drain`] — a [`Drainer`] consuming the shared log concurrently with
-//!   the writers, using the persistent read cursor and epoch-rotation
-//!   protocol of `teeperf_core::log` (writers announce themselves on the
-//!   control word; the drainer quiesces them only for the bounded rotation
-//!   window). Overflow is accounted explicitly, never a silent stop.
+//! * [`session`] — the [`LiveSession`]: one [`teeperf_core::EventSource`]
+//!   drained into a rolling profile and the live flame renderer on a
+//!   refresh cadence. For a shared log the source is a
+//!   [`teeperf_core::LiveLogSource`] consuming it concurrently with the
+//!   writers, using the persistent read cursor and epoch-rotation protocol
+//!   of `teeperf_core::log` (writers announce themselves on the control
+//!   word; the drain quiesces them only for the bounded rotation window).
+//!   Overflow is accounted explicitly, never a silent stop.
 //! * [`rolling`] — an incremental analyzer: per-thread
 //!   [`teeperf_analyzer::stacks::ResumableStacks`] carry open frames across
 //!   epochs, and completed calls merge into rolling per-method, folded-stack
 //!   and caller-edge aggregates whose memory does not grow with the stream.
-//! * [`snapshot`] — serializable freezes of the rolling profile, with
-//!   diff-vs-previous through the batch comparator.
-//! * [`session`] — the [`LiveSession`] gluing drainer + rolling profile +
-//!   the live flame renderer on a refresh cadence.
-//! * [`driver`] — [`live_profile_program`]: run an instrumented Mini-C
-//!   program with the rotation-aware hooks while an instruction-cadence
-//!   observer pumps the session (the deterministic, in-process equivalent
-//!   of a host drainer thread). Backs the `teeperf live` CLI subcommand.
-//!   [`live_profile_processes`] runs N simulated processes under one
-//!   registry.
+//! * [`snapshot`] — serializable freezes of the rolling profile.
+//! * [`driver`] — [`live_profile_processes`]: run an instrumented Mini-C
+//!   program as N simulated processes with the rotation-aware hooks while
+//!   one fixed-cadence instruction observer pumps their registry (the
+//!   deterministic, in-process equivalent of a host drainer thread).
+//!   [`live_profile_program`] is the one-process run behind the
+//!   `teeperf live` CLI subcommand.
 //! * [`registry`] — the multi-process layer: a [`SessionRegistry`] keys
 //!   one session per [`teeperf_core::EventSource`] by the pid in its log
 //!   header, and merges the per-pid rolling profiles into a cross-process
@@ -50,7 +50,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod drain;
 pub mod driver;
 pub mod native;
 pub mod registry;
@@ -59,7 +58,6 @@ pub mod session;
 pub mod snapshot;
 pub mod window;
 
-pub use drain::{DrainBatch, DrainPolicy, Drainer};
 pub use driver::{
     live_profile_processes, live_profile_program, LiveRun, LiveRunConfig, MultiLiveError,
     MultiLiveRun,

@@ -18,7 +18,9 @@ use std::rc::Rc;
 
 use tee_sim::{CostModel, Machine};
 use teeperf_analyzer::symbolize::Symbolizer;
-use teeperf_core::{CounterSource, Probe, Profiler, Recorder, RecorderConfig};
+use teeperf_core::{
+    CounterSource, LiveLogSource, Probe, Profiler, Recorder, RecorderConfig, DEFAULT_WATERMARK_PCT,
+};
 use teeperf_flamegraph::LiveStatus;
 
 use crate::session::{LiveConfig, LiveSession};
@@ -64,7 +66,8 @@ impl NativeLiveSession {
             .with_live_writes();
         let profiler = Rc::new(RefCell::new(Profiler::new(hooks)));
         let symbolizer = Symbolizer::without_relocation(profiler.borrow().debug_info());
-        let session = LiveSession::new(recorder.log().clone(), symbolizer, live);
+        let source = LiveLogSource::new(recorder.log().clone(), DEFAULT_WATERMARK_PCT);
+        let session = LiveSession::new(Box::new(source), symbolizer, live);
         NativeLiveSession {
             recorder,
             machine,
@@ -140,7 +143,6 @@ impl NativeLiveSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::drain::DrainPolicy;
 
     fn config() -> (RecorderConfig, LiveConfig) {
         (
@@ -149,7 +151,6 @@ mod tests {
                 ..RecorderConfig::default()
             },
             LiveConfig {
-                policy: DrainPolicy { watermark_pct: 50 },
                 refresh_events: 0,
                 ..LiveConfig::default()
             },

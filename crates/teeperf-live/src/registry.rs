@@ -30,7 +30,7 @@ use teeperf_analyzer::symbolize::Symbolizer;
 use teeperf_analyzer::{diff, Frame, Profile, WindowSpec};
 use teeperf_core::layout::PID_UNSET;
 use teeperf_core::{EventSource, SalvageReport};
-use teeperf_flamegraph::{live, LiveStatus, SvgOptions};
+use teeperf_flamegraph::{live, LiveStatus, PidFolded, SvgOptions};
 
 use crate::session::{LiveConfig, LiveSession};
 use crate::snapshot::{RegimeInfo, SessionEvent, Snapshot};
@@ -174,7 +174,7 @@ impl SessionRegistry {
         if self.sessions.contains_key(&pid) || self.retired.contains_key(&pid) {
             return Err(AttachError::DuplicatePid(pid));
         }
-        let session = LiveSession::from_source(source, symbolizer, self.config.clone());
+        let session = LiveSession::new(source, symbolizer, self.config.clone());
         self.sessions.insert(pid, session);
         self.events.push(SessionEvent::Attached { pid });
         Ok(pid)
@@ -249,11 +249,6 @@ impl SessionRegistry {
         self.sessions.get(&pid)
     }
 
-    /// Mutable access to the session for `pid`, if attached.
-    pub fn session_mut(&mut self, pid: u64) -> Option<&mut LiveSession> {
-        self.sessions.get_mut(&pid)
-    }
-
     /// Pump every session once (each drains its own source and merges into
     /// its own rolling profile). Returns the total entries consumed.
     ///
@@ -315,18 +310,13 @@ impl SessionRegistry {
     /// Events merged so far, across all processes — including sessions
     /// already retired.
     pub fn events(&self) -> u64 {
-        self.sessions.values().map(LiveSession::events).sum::<u64>()
-            + self.retired.values().map(|s| s.status.events).sum::<u64>()
+        self.merged_status().events
     }
 
     /// Cumulative overflow loss, across all processes — including
     /// sessions already retired.
     pub fn dropped(&self) -> u64 {
-        self.sessions
-            .values()
-            .map(LiveSession::dropped)
-            .sum::<u64>()
-            + self.retired.values().map(|s| s.status.dropped).sum::<u64>()
+        self.merged_status().dropped
     }
 
     /// Cumulative overflow loss per process, ascending by pid — live
@@ -370,22 +360,19 @@ impl SessionRegistry {
     /// frozen counters of retired sessions.
     pub fn merged_status(&self) -> LiveStatus {
         let mut status = LiveStatus::default();
-        let live = self.sessions.values().map(LiveSession::status);
-        let retired = self.retired.values().map(|s| s.status.clone());
-        for one in live.chain(retired) {
-            status.epoch += one.epoch;
-            status.events += one.events;
-            status.dropped += one.dropped;
-            status.threads += one.threads;
-            status.open_frames += one.open_frames;
+        for s in self.sessions.values() {
+            add_status(&mut status, &s.status());
+        }
+        for s in self.retired.values() {
+            add_status(&mut status, &s.status);
         }
         status
     }
 
     /// Freeze the session for `pid` into a snapshot (`None` if no such
     /// session is attached).
-    pub fn snapshot_pid(&mut self, pid: u64) -> Option<Snapshot> {
-        self.sessions.get_mut(&pid).map(LiveSession::snapshot)
+    pub fn snapshot_pid(&self, pid: u64) -> Option<Snapshot> {
+        self.sessions.get(&pid).map(LiveSession::snapshot)
     }
 
     /// Freeze every session and merge: the returned snapshot's profile
@@ -394,52 +381,42 @@ impl SessionRegistry {
     /// sums of the per-pid profiles, its status is
     /// [`Self::merged_status`], and its events list records every
     /// attach/detach/quarantine so far.
-    pub fn merged_snapshot(&mut self) -> Snapshot {
+    pub fn merged_snapshot(&self) -> Snapshot {
+        merge_snapshots(&self.snapshots(), self.events.clone())
+    }
+
+    /// Every pid's snapshot: live sessions freshly frozen, retired
+    /// sessions at their final frozen state.
+    fn snapshots(&self) -> BTreeMap<u64, Snapshot> {
         let mut per_pid: BTreeMap<u64, Snapshot> = self
             .sessions
-            .iter_mut()
+            .iter()
             .map(|(pid, s)| (*pid, s.snapshot()))
             .collect();
         per_pid.extend(self.retired.iter().map(|(pid, s)| (*pid, s.clone())));
-        merge_snapshots(&per_pid, self.events.clone())
+        per_pid
     }
 
-    /// The per-pid profiles for rendering: live sessions freshly frozen,
-    /// retired sessions at their final frozen state.
-    fn render_parts(&mut self) -> Vec<(u64, Profile)> {
-        let mut per_pid: Vec<(u64, Profile)> = self
-            .sessions
-            .iter_mut()
-            .map(|(pid, s)| (*pid, s.snapshot().profile))
+    /// Hand `render` the per-pid folded stacks, ascending by pid, and the
+    /// merged status.
+    fn render_with(&self, render: impl FnOnce(&[PidFolded<'_>], &LiveStatus) -> String) -> String {
+        let per_pid = self.snapshots();
+        let parts: Vec<PidFolded<'_>> = per_pid
+            .iter()
+            .map(|(pid, s)| (*pid, s.profile.folded.as_slice()))
             .collect();
-        per_pid.extend(
-            self.retired
-                .iter()
-                .map(|(pid, s)| (*pid, s.profile.clone())),
-        );
-        per_pid.sort_by_key(|(pid, _)| *pid);
-        per_pid
+        render(&parts, &self.merged_status())
     }
 
     /// Render the merged view for a terminal: one `pid <n>` tower per
     /// process under the merged status banner.
-    pub fn render_ascii(&mut self, width: usize) -> String {
-        let per_pid = self.render_parts();
-        let parts: Vec<teeperf_flamegraph::PidFolded> = per_pid
-            .iter()
-            .map(|(pid, p)| (*pid, p.folded.as_slice()))
-            .collect();
-        live::render_ascii_multi(&parts, &self.merged_status(), width)
+    pub fn render_ascii(&self, width: usize) -> String {
+        self.render_with(|parts, status| live::render_ascii_multi(parts, status, width))
     }
 
     /// Render the merged view as SVG, one `pid <n>` tower per process.
-    pub fn render_svg(&mut self, options: &SvgOptions) -> String {
-        let per_pid = self.render_parts();
-        let parts: Vec<teeperf_flamegraph::PidFolded> = per_pid
-            .iter()
-            .map(|(pid, p)| (*pid, p.folded.as_slice()))
-            .collect();
-        live::render_svg_multi(&parts, &self.merged_status(), options)
+    pub fn render_svg(&self, options: &SvgOptions) -> String {
+        self.render_with(|parts, status| live::render_svg_multi(parts, status, options))
     }
 
     /// Per-pid retained-window listings across the attached sessions,
@@ -565,11 +542,7 @@ fn merge_snapshots(per_pid: &BTreeMap<u64, Snapshot>, events: Vec<SessionEvent>)
     let mut events = events;
     let mut regime: Option<RegimeInfo> = None;
     for s in per_pid.values() {
-        status.epoch += s.status.epoch;
-        status.events += s.status.events;
-        status.dropped += s.status.dropped;
-        status.threads += s.status.threads;
-        status.open_frames += s.status.open_frames;
+        add_status(&mut status, &s.status);
         events.extend(s.events.iter().cloned());
         if let Some(r) = &s.regime {
             regime = Some(match regime {
@@ -593,6 +566,17 @@ fn merge_snapshots(per_pid: &BTreeMap<u64, Snapshot>, events: Vec<SessionEvent>)
         events,
         regime,
     }
+}
+
+/// Add one session's counters into a cross-process status, field by
+/// field — epochs included: each process rotates its own log, so the
+/// merged epoch counts rotations fleet-wide.
+fn add_status(total: &mut LiveStatus, one: &LiveStatus) {
+    total.epoch += one.epoch;
+    total.events += one.events;
+    total.dropped += one.dropped;
+    total.threads += one.threads;
+    total.open_frames += one.open_frames;
 }
 
 #[cfg(test)]

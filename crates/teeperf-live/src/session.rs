@@ -1,20 +1,25 @@
-//! The live session: drainer + rolling profile + renderer, glued to a
-//! refresh policy.
+//! The live session: event source + rolling profile + renderer, glued to
+//! a refresh policy.
 //!
 //! A [`LiveSession`] is the single host-side object a continuous-profiling
-//! consumer holds. Pumping it drains the shared log and merges the stream
-//! into the rolling profile; on every `refresh_events` new events it
-//! re-renders the ASCII flame view into its frame history, which is what
-//! `teeperf live` prints.
+//! consumer holds. It owns one [`EventSource`] — a [`LiveLogSource`]
+//! holding the single persistent cursor over a shared log (polling
+//! published entries, rotating before the epoch can overflow), a
+//! [`teeperf_core::FileReplaySource`] replaying a persisted log, or any
+//! other implementation. Pumping the session drains the source and merges
+//! the stream into the rolling profile; overflow is accounted, never a
+//! silent stop. On every `refresh_events` new events it re-renders the
+//! ASCII flame view into its frame history, which is what `teeperf live`
+//! prints.
+//!
+//! [`LiveLogSource`]: teeperf_core::LiveLogSource
 
 use std::collections::{BTreeSet, VecDeque};
 
-use teeperf_analyzer::query::frame::Frame;
 use teeperf_analyzer::symbolize::Symbolizer;
-use teeperf_core::{EventSource, Regime, SharedLog};
-use teeperf_flamegraph::{live, LiveStatus, SvgOptions};
+use teeperf_core::{EventSource, Regime};
+use teeperf_flamegraph::{live, LiveStatus};
 
-use crate::drain::{DrainPolicy, Drainer};
 use crate::rolling::RollingProfile;
 use crate::snapshot::{RegimeInfo, SessionEvent, Snapshot};
 use crate::window::{PidWindows, RingConfig, RingEvent, WindowMeta, WindowSel};
@@ -83,7 +88,7 @@ struct PumpSample {
 /// backpressure, with hysteresis (degrade on budget overrun, upgrade only
 /// on a fully clean window) and a doubling cool-down so regimes never
 /// flap. Pure bookkeeping on pump statistics — publication of the chosen
-/// regime to the writers goes through the drainer's shared regime word.
+/// regime to the writers goes through the source's shared regime word.
 #[derive(Debug)]
 pub(crate) struct FidelityController {
     budget: OverheadBudget,
@@ -233,8 +238,6 @@ fn upgrade(regime: Regime) -> Regime {
 /// Session tuning.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LiveConfig {
-    /// When the drainer rotates the log.
-    pub policy: DrainPolicy,
     /// Re-render the flame view after this many new events (0 disables the
     /// frame history; snapshots remain available on demand).
     pub refresh_events: u64,
@@ -266,7 +269,6 @@ pub struct LiveConfig {
 impl Default for LiveConfig {
     fn default() -> Self {
         LiveConfig {
-            policy: DrainPolicy::default(),
             refresh_events: 2_000,
             width: 60,
             keep_replay: false,
@@ -277,16 +279,15 @@ impl Default for LiveConfig {
     }
 }
 
-/// A running continuous-profiling session over one shared log.
+/// A running continuous-profiling session over one event source.
 #[derive(Debug)]
 pub struct LiveSession {
-    drainer: Drainer,
+    source: Box<dyn EventSource>,
     rolling: RollingProfile,
     symbolizer: Symbolizer,
     config: LiveConfig,
     frames: Vec<String>,
     events_at_last_refresh: u64,
-    last_snapshot: Option<Snapshot>,
     replay: Vec<teeperf_core::layout::LogEntry>,
     /// Retention transitions (evictions, coarsenings) so far, already
     /// stamped with this session's pid — surfaced in every snapshot's
@@ -295,7 +296,7 @@ pub struct LiveSession {
     /// The overhead-budget regime controller (present iff
     /// [`LiveConfig::budget`] is set and the source carries regimes).
     controller: Option<FidelityController>,
-    /// Corrupt regime words the drainer salvaged so far.
+    /// Corrupt regime words the source salvaged so far.
     regime_faults: u64,
     /// `dropped_total` at the end of the previous pump, so each pump
     /// attributes exactly its own drop delta to the controller
@@ -306,34 +307,23 @@ pub struct LiveSession {
 }
 
 impl LiveSession {
-    /// Start a session draining `log`, symbolizing with `symbolizer`.
-    pub fn new(log: SharedLog, symbolizer: Symbolizer, config: LiveConfig) -> LiveSession {
-        let policy = config.policy;
-        LiveSession::from_drainer(Drainer::new(log, policy), symbolizer, config)
-    }
-
-    /// Start a session over an arbitrary [`EventSource`] — a live log, a
-    /// file replay, or anything else that implements the trait. This is
-    /// what a session registry uses to run one session per profiled
-    /// process.
-    pub fn from_source(
+    /// Start a session draining `source`, symbolizing with `symbolizer`.
+    /// For a live shared log the source is a [`teeperf_core::LiveLogSource`],
+    /// which also decides when the log rotates; at most one may exist per
+    /// log, since only the cursor owner may rotate.
+    pub fn new(
         source: Box<dyn EventSource>,
         symbolizer: Symbolizer,
         config: LiveConfig,
     ) -> LiveSession {
-        LiveSession::from_drainer(Drainer::from_source(source), symbolizer, config)
-    }
-
-    fn from_drainer(drainer: Drainer, symbolizer: Symbolizer, config: LiveConfig) -> LiveSession {
         let controller = config.budget.map(FidelityController::new);
         LiveSession {
-            drainer,
+            source,
             rolling: RollingProfile::with_retention(config.retention.as_ref()),
             symbolizer,
             config,
             frames: Vec::new(),
             events_at_last_refresh: 0,
-            last_snapshot: None,
             replay: Vec::new(),
             window_events: Vec::new(),
             controller,
@@ -344,7 +334,7 @@ impl LiveSession {
 
     /// Process id of the profiled process behind this session's source.
     pub fn pid(&self) -> u64 {
-        self.drainer.pid()
+        self.source.pid()
     }
 
     /// Replace the symbolizer (a native workload registers functions
@@ -368,31 +358,21 @@ impl LiveSession {
         // Occupancy is sampled *before* the drain: it is the fill level
         // the writers ran against, and it resets to zero the moment the
         // pump rotates.
-        let occupancy = self.drainer.occupancy_pct().unwrap_or(0);
+        let occupancy = self.source.occupancy_pct().unwrap_or(0);
         // Entries drained now were admitted under the regime published to
         // the writers before this pump — that is the factor that
         // bias-corrects them back into estimated totals.
         let scale = self.published_regime().scale();
         self.rolling.set_scale(scale);
-        let batch = self.drainer.pump();
+        let batch = self.source.pump();
         let n = batch.entries.len();
-        if self.config.keep_replay {
-            self.replay.extend_from_slice(&batch.entries);
-        }
-        self.rolling
-            .ingest_sharded(&batch.entries, self.config.analyzer_shards);
-        self.collect_window_events();
-        if self.drainer.take_regime_fault() {
-            self.regime_faults += 1;
-            self.window_events.push(SessionEvent::RegimeFault {
-                pid: self.drainer.pid(),
-            });
-        }
+        self.ingest(&batch.entries);
+        self.collect_events();
         // `dropped_total` already includes the current epoch's overflow,
         // so the per-pump delta is taken against the *previous* pump's
         // end-of-pump total — sampling it at the start of this pump would
         // hide exactly the drops this pump is supposed to observe.
-        let dropped_now = self.drainer.dropped_total();
+        let dropped_now = self.source.dropped_total();
         let dropped_delta = dropped_now.saturating_sub(self.dropped_seen);
         self.dropped_seen = dropped_now;
         let decision = self
@@ -400,9 +380,9 @@ impl LiveSession {
             .as_mut()
             .and_then(|ctl| ctl.observe(n as u64, dropped_delta, occupancy));
         if let Some((from, to)) = decision {
-            if self.drainer.set_regime(to) {
+            if self.source.set_regime(to) {
                 self.window_events.push(SessionEvent::RegimeChanged {
-                    pid: self.drainer.pid(),
+                    pid: self.source.pid(),
                     from,
                     to,
                 });
@@ -426,7 +406,7 @@ impl LiveSession {
     /// The regime currently published to this session's writers (`Full`
     /// for sources without regime transport).
     fn published_regime(&self) -> Regime {
-        self.drainer.regime().unwrap_or(Regime::Full)
+        self.source.regime().unwrap_or(Regime::Full)
     }
 
     /// The fidelity regime the session runs in: the controller's choice
@@ -445,7 +425,7 @@ impl LiveSession {
             .map_or(0, FidelityController::transitions)
     }
 
-    /// Corrupt regime words the drainer salvaged so far (each fell back
+    /// Corrupt regime words the source salvaged so far (each fell back
     /// to the full interpretation and was re-published).
     pub fn regime_faults(&self) -> u64 {
         self.regime_faults
@@ -485,7 +465,7 @@ impl LiveSession {
 
     /// Epochs completed so far.
     pub fn epochs(&self) -> u64 {
-        self.drainer.epoch()
+        self.source.epoch()
     }
 
     /// Events merged so far.
@@ -495,31 +475,31 @@ impl LiveSession {
 
     /// Cumulative overflow loss.
     pub fn dropped(&self) -> u64 {
-        self.drainer.dropped_total()
+        self.source.dropped_total()
     }
 
     /// Salvage accounting of this session's source: records skipped,
     /// holes closed, rotations abandoned (see
     /// [`teeperf_core::EventSource::salvage`]).
     pub fn salvage(&self) -> teeperf_core::SalvageReport {
-        self.drainer.salvage()
+        self.source.salvage()
     }
 
     /// Whether this session's source has declared its producer dead
     /// (corrupted header or unrecoverable transport).
     pub fn source_dead(&self) -> bool {
-        self.drainer.is_dead()
+        self.source.is_dead()
     }
 
     /// Whether this session's source can never produce another entry (a
     /// finished replay; live sources never exhaust).
     pub fn source_exhausted(&self) -> bool {
-        self.drainer.is_exhausted()
+        self.source.is_exhausted()
     }
 
     /// The one-line session state.
     pub fn status(&self) -> LiveStatus {
-        self.rolling.status(self.drainer.epoch(), self.dropped())
+        self.rolling.status(self.source.epoch(), self.dropped())
     }
 
     /// The rendered frame history (one ASCII flame view per refresh).
@@ -534,35 +514,17 @@ impl LiveSession {
         live::render_ascii(&profile.folded, &self.status(), self.config.width)
     }
 
-    /// Render the current rolling aggregate as an SVG flame graph, banner
-    /// as subtitle.
-    pub fn render_svg(&self, options: &SvgOptions) -> String {
-        let profile = self.rolling.snapshot(&self.symbolizer, self.dropped());
-        live::render_svg(&profile.folded, &self.status(), options)
-    }
-
-    /// Freeze the current aggregate into a [`Snapshot`] and remember it as
-    /// the baseline for [`LiveSession::diff_since_last`]. The profile is
+    /// Freeze the current aggregate into a [`Snapshot`], its profile
     /// stamped with the source's process id.
-    pub fn snapshot(&mut self) -> Snapshot {
+    pub fn snapshot(&self) -> Snapshot {
         let mut profile = self.rolling.snapshot(&self.symbolizer, self.dropped());
-        profile.pids = BTreeSet::from([self.drainer.pid()]);
-        let snap = Snapshot {
+        profile.pids = BTreeSet::from([self.source.pid()]);
+        Snapshot {
             status: self.status(),
             profile,
             events: self.window_events.clone(),
             regime: self.regime_info(),
-        };
-        self.last_snapshot = Some(snap.clone());
-        snap
-    }
-
-    /// How the profile moved since the previous [`LiveSession::snapshot`]
-    /// call (`None` before the first snapshot). Also advances the baseline.
-    pub fn diff_since_last(&mut self) -> Option<Frame> {
-        let before = self.last_snapshot.take()?;
-        let now = self.snapshot();
-        Some(now.diff_since(&before))
+        }
     }
 
     /// End the session: drain the final partial epoch, force-close open
@@ -574,31 +536,32 @@ impl LiveSession {
         // writers' last entries were admitted under it.
         self.rolling.set_scale(self.published_regime().scale());
         loop {
-            let batch = self.drainer.rotate_now();
+            let batch = self.source.drain_to_end();
             if batch.entries.is_empty() && batch.dropped == 0 {
                 break;
             }
-            if self.config.keep_replay {
-                self.replay.extend_from_slice(&batch.entries);
-            }
-            self.rolling
-                .ingest_sharded(&batch.entries, self.config.analyzer_shards);
+            self.ingest(&batch.entries);
         }
         self.rolling.finish();
-        self.collect_window_events();
-        if self.drainer.take_regime_fault() {
-            self.regime_faults += 1;
-            self.window_events.push(SessionEvent::RegimeFault {
-                pid: self.drainer.pid(),
-            });
-        }
+        self.collect_events();
         self.snapshot()
     }
 
-    /// Drain the ring's retention transitions into this session's event
-    /// log, stamped with the source's pid.
-    fn collect_window_events(&mut self) {
-        let pid = self.drainer.pid();
+    /// Merge drained entries into the rolling profile (and the replay,
+    /// when retained).
+    fn ingest(&mut self, entries: &[teeperf_core::layout::LogEntry]) {
+        if self.config.keep_replay {
+            self.replay.extend_from_slice(entries);
+        }
+        self.rolling
+            .ingest_sharded(entries, self.config.analyzer_shards);
+    }
+
+    /// Move what the last drain surfaced into this session's event log,
+    /// stamped with the source's pid: the ring's retention transitions,
+    /// then a salvaged corrupt regime word.
+    fn collect_events(&mut self) {
+        let pid = self.source.pid();
         for e in self.rolling.take_ring_events() {
             self.window_events.push(match e {
                 RingEvent::Evicted { first, last, calls } => SessionEvent::WindowsEvicted {
@@ -612,6 +575,10 @@ impl LiveSession {
                 }
             });
         }
+        if self.source.take_regime_fault() {
+            self.regime_faults += 1;
+            self.window_events.push(SessionEvent::RegimeFault { pid });
+        }
     }
 
     /// This session's retained-window listing (`None` when retention is
@@ -619,7 +586,7 @@ impl LiveSession {
     pub fn windows(&self) -> Option<PidWindows> {
         let ring = self.rolling.ring()?;
         Some(PidWindows {
-            pid: self.drainer.pid(),
+            pid: self.source.pid(),
             interval: ring.interval(),
             evicted_windows: ring.evicted_windows(),
             evicted_calls: ring.evicted_calls(),
@@ -632,7 +599,7 @@ impl LiveSession {
     /// or the selection matches nothing.
     pub fn span_profile(&self, sel: &WindowSel) -> Option<(WindowMeta, teeperf_analyzer::Profile)> {
         let (meta, mut profile) = self.rolling.span_profile(&self.symbolizer, sel)?;
-        profile.pids = BTreeSet::from([self.drainer.pid()]);
+        profile.pids = BTreeSet::from([self.source.pid()]);
         Some((meta, profile))
     }
 
@@ -641,7 +608,7 @@ impl LiveSession {
     /// this session's pid.
     pub fn window_profile(&self, idx: u64) -> Option<(WindowMeta, teeperf_analyzer::Profile)> {
         let (meta, mut profile) = self.rolling.window_profile(&self.symbolizer, idx)?;
-        profile.pids = BTreeSet::from([self.drainer.pid()]);
+        profile.pids = BTreeSet::from([self.source.pid()]);
         Some((meta, profile))
     }
 
@@ -660,6 +627,7 @@ mod tests {
     use tee_sim::SharedMem;
     use teeperf_core::layout::{EventKind, LogEntry};
     use teeperf_core::log::{make_header, region_bytes};
+    use teeperf_core::{FileReplaySource, LiveLogSource, LogFile, SharedLog};
 
     fn debug() -> DebugInfo {
         DebugInfo::from_functions([("main", 4, 1), ("work", 4, 5)])
@@ -675,10 +643,9 @@ mod tests {
 
     fn session(log: &SharedLog, refresh: u64) -> LiveSession {
         LiveSession::new(
-            log.clone(),
+            Box::new(LiveLogSource::new(log.clone(), 50)),
             Symbolizer::without_relocation(debug()),
             LiveConfig {
-                policy: DrainPolicy { watermark_pct: 50 },
                 refresh_events: refresh,
                 width: 40,
                 keep_replay: false,
@@ -735,17 +702,22 @@ mod tests {
     }
 
     #[test]
-    fn diff_since_last_tracks_movement() {
-        let log = fresh(64);
-        let mut s = session(&log, 0);
+    fn drains_a_file_replay_through_the_same_pump() {
+        let log = fresh(8);
         write_pair(&log, 100);
-        s.pump();
-        assert!(s.diff_since_last().is_none(), "no baseline yet");
-        s.snapshot();
         write_pair(&log, 200);
-        s.pump();
-        let d = s.diff_since_last().expect("baseline exists");
-        assert!(!d.is_empty());
+        let file = LogFile::new(log.header(), log.drain_entries());
+        let mut s = LiveSession::new(
+            Box::new(FileReplaySource::new(&file).with_chunk(3)),
+            Symbolizer::without_relocation(debug()),
+            LiveConfig::default(),
+        );
+        assert_eq!(s.pid(), 1);
+        assert_eq!(s.pump(), 3);
+        let snap = s.finish();
+        assert_eq!(snap.status.events, 4);
+        assert_eq!(snap.profile.method("work").unwrap().calls, 2);
+        assert!(s.source_exhausted());
     }
 
     #[test]
@@ -777,10 +749,9 @@ mod tests {
     fn budgeted_session_degrades_under_loss_and_recovers() {
         let log = fresh(8);
         let mut s = LiveSession::new(
-            log.clone(),
+            Box::new(LiveLogSource::new(log.clone(), 100)),
             Symbolizer::without_relocation(debug()),
             LiveConfig {
-                policy: DrainPolicy { watermark_pct: 100 },
                 refresh_events: 0,
                 budget: Some(OverheadBudget { pct: 5 }),
                 ..LiveConfig::default()
@@ -915,11 +886,10 @@ mod tests {
 
     #[test]
     fn budgeted_session_over_a_replay_stays_full_fidelity() {
-        use teeperf_core::{FileReplaySource, LogFile};
         let log = fresh(64);
         write_pair(&log, 100);
         let file = LogFile::new(log.header(), log.drain_entries());
-        let mut s = LiveSession::from_source(
+        let mut s = LiveSession::new(
             Box::new(FileReplaySource::new(&file).with_chunk(1)),
             Symbolizer::without_relocation(debug()),
             LiveConfig {

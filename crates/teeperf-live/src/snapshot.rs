@@ -3,15 +3,11 @@
 //! A [`Snapshot`] freezes one refresh of the live session: the session
 //! status plus a complete [`Profile`] materialized from the rolling
 //! aggregate. Snapshots serialize to a stable, line-oriented text format
-//! (no external serialization crates in this workspace) and diff against a
-//! previous snapshot by reusing the batch analyzer's
-//! [`teeperf_analyzer::compare::diff`] — the live rendering of the paper's
-//! before/after-optimization workflow.
+//! (no external serialization crates in this workspace).
 
 use std::fmt;
 
-use teeperf_analyzer::query::frame::Frame;
-use teeperf_analyzer::{compare, Profile};
+use teeperf_analyzer::Profile;
 use teeperf_core::Regime;
 use teeperf_flamegraph::LiveStatus;
 
@@ -182,13 +178,6 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Method-by-method comparison against an earlier snapshot, as a
-    /// queryable frame (`method, a_pct, b_pct, delta_pct, …` — negative
-    /// delta means the method shrank since `before`).
-    pub fn diff_since(&self, before: &Snapshot) -> Frame {
-        compare::diff(&before.profile, &self.profile)
-    }
-
     /// The folded-stack lines of this snapshot (`a;b;c ticks`), the
     /// interchange format every flame-graph tool consumes.
     pub fn folded_text(&self) -> String {
@@ -717,17 +706,5 @@ mod tests {
         assert_eq!(ok.regime, Regime::Quiescent);
         assert_eq!(ok.budget_pct, None);
         assert_eq!(ok.transitions, 9);
-    }
-
-    #[test]
-    fn diff_since_reuses_the_batch_comparator() {
-        let before = snap(20);
-        let after = snap(80);
-        let d = after.diff_since(&before);
-        // work grew from 20/100 to 80/100 exclusive share.
-        let out =
-            teeperf_analyzer::run_query(&d, r#"select method, delta_pct where method == "work""#)
-                .unwrap();
-        assert_eq!(out.len(), 1);
     }
 }

@@ -398,7 +398,7 @@ fn registry_with_one_crashed_source_serves_the_survivors() {
 fn live_matrix_writer_crash_mid_sampled_epoch_salvages_cleanly() {
     let _guard = hang_guard("crash-mid-sampled");
     let log = fresh(1, 8);
-    let mut session = LiveSession::from_source(
+    let mut session = LiveSession::new(
         Box::new(LiveLogSource::new(log.clone(), 100).with_resilience(impatient())),
         sym(),
         LiveConfig {
@@ -497,7 +497,7 @@ fn live_matrix_writer_crash_mid_sampled_epoch_salvages_cleanly() {
 fn live_matrix_corrupt_regime_word_falls_back_to_full_and_is_reported() {
     let _guard = hang_guard("corrupt-regime-word");
     let log = fresh(1, 64);
-    let mut session = LiveSession::from_source(
+    let mut session = LiveSession::new(
         Box::new(LiveLogSource::new(log.clone(), 75).with_resilience(impatient())),
         sym(),
         LiveConfig {
@@ -775,7 +775,7 @@ proptest::proptest! {
             log.clone(),
             FaultPlan::new().with(FaultKind::WriterCrash, crash_at),
         );
-        let mut session = LiveSession::from_source(
+        let mut session = LiveSession::new(
             Box::new(LiveLogSource::new(log.clone(), 75).with_resilience(impatient())),
             sym(),
             LiveConfig { refresh_events: 0, ..LiveConfig::default() },
@@ -798,7 +798,7 @@ proptest::proptest! {
         // Ground truth: the same pipeline over only the published entries.
         let published = writer.published().to_vec();
         let truth_log = LogFile::new(log.header(), published.clone());
-        let mut truth = LiveSession::from_source(
+        let mut truth = LiveSession::new(
             Box::new(FileReplaySource::new(&truth_log)),
             sym(),
             LiveConfig { refresh_events: 0, ..LiveConfig::default() },

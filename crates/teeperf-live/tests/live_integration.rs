@@ -146,7 +146,7 @@ mod string_match_convergence {
                     ..LiveConfig::default()
                 },
                 pump_every_instructions: 128,
-                adaptive_pump: true,
+                ..LiveRunConfig::default()
             },
             |vm| bench.setup(vm),
         )

@@ -193,7 +193,7 @@ fn golden_file() -> LogFile {
 #[test]
 fn single_source_snapshot_text_is_byte_identical() {
     let source = FileReplaySource::new(&golden_file());
-    let mut session = LiveSession::from_source(Box::new(source), sym(), LiveConfig::default());
+    let mut session = LiveSession::new(Box::new(source), sym(), LiveConfig::default());
     let snap = session.finish();
     assert_eq!(snap.profile.pids, BTreeSet::from([31]));
     assert_eq!(snap.to_text(), GOLDEN_REPLAY);
@@ -204,14 +204,15 @@ fn live_log_snapshot_matches_replay_except_epoch_accounting() {
     use std::sync::Arc;
     use tee_sim::SharedMem;
     use teeperf_core::log::{make_header, region_bytes};
-    use teeperf_core::SharedLog;
+    use teeperf_core::{LiveLogSource, SharedLog, DEFAULT_WATERMARK_PCT};
 
     let shm = Arc::new(SharedMem::new(region_bytes(16)));
     let log = SharedLog::init(shm, &make_header(31, 16, true, 0, tee_sim::SHM_BASE));
     for e in &golden_file().entries {
         log.write_live(e);
     }
-    let mut session = LiveSession::new(log, sym(), LiveConfig::default());
+    let source = LiveLogSource::new(log, DEFAULT_WATERMARK_PCT);
+    let mut session = LiveSession::new(Box::new(source), sym(), LiveConfig::default());
     let snap = session.finish();
     // A live log pays one extra (empty) rotation when the session closes;
     // everything below the epoch counter is byte-identical to the replay.

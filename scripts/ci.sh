@@ -58,6 +58,10 @@ tmo 60 cargo test -q --offline -p teeperf-core source::tests
 # The file transport real processes use: publish-by-tail writer, chunked
 # reader, chunk-boundary faults and the per-slot model proptest.
 tmo 60 cargo test -q --offline -p teeperf-core shm_file::
+# The live-overhead bench's in-process drain: a real drain thread that
+# spins until it sees the stop flag, so a hang must fail the gate, not
+# wedge it.
+tmo 120 cargo test -q --offline -p bench live::
 
 # Protocol lint (ISSUE 6): no raw atomics outside the SharedMem/MemModel
 # seam, every Ordering choice justified with an `// ord:` comment, no
